@@ -142,13 +142,6 @@ func (k Key) Bool(b bool) Key {
 type Memo[V any] struct {
 	m   map[Key]*memoNode[V]
 	cap int // <= 0: unbounded
-	// budget bounds the table in payload bytes as reported by size (<= 0:
-	// unbounded); bytes is the current total. Entries cost their payload,
-	// not just their slot, so a few huge compiled regions can no longer
-	// hide behind a generous entry cap.
-	budget int64
-	size   func(V) int64
-	bytes  int64
 	// Intrusive doubly-linked recency list; head is most recently used,
 	// tail the eviction victim.
 	head, tail *memoNode[V]
@@ -160,7 +153,6 @@ type Memo[V any] struct {
 type memoNode[V any] struct {
 	key        Key
 	val        V
-	size       int64
 	prev, next *memoNode[V]
 }
 
@@ -172,20 +164,6 @@ func NewMemo[V any]() *Memo[V] { return NewMemoCap[V](0) }
 // recently used entry.
 func NewMemoCap[V any](capacity int) *Memo[V] {
 	return &Memo[V]{m: make(map[Key]*memoNode[V]), cap: capacity}
-}
-
-// NewMemoBudget returns a memo table bounded both in entries (capacity,
-// <= 0 unbounded) and in payload bytes (budgetBytes, <= 0 unbounded), with
-// size reporting each value's payload. Inserting past either bound evicts
-// least recently used entries until both hold again; a single value larger
-// than the whole byte budget is admitted and immediately evicted, keeping
-// the table within budget at every return. A nil size function makes every
-// value weightless (byte budget inert), preserving NewMemoCap semantics.
-func NewMemoBudget[V any](capacity int, budgetBytes int64, size func(V) int64) *Memo[V] {
-	return &Memo[V]{
-		m: make(map[Key]*memoNode[V]), cap: capacity,
-		budget: budgetBytes, size: size,
-	}
 }
 
 func (m *Memo[V]) unlink(n *memoNode[V]) {
@@ -230,44 +208,22 @@ func (m *Memo[V]) Get(k Key) (V, bool) {
 	return n.val, true
 }
 
-// Put records the compiled value for k, evicting least recently used
-// entries while the table exceeds its entry capacity or byte budget.
+// Put records the compiled value for k, evicting the least recently used
+// entry when the table exceeds its capacity.
 func (m *Memo[V]) Put(k Key, v V) {
 	if n, ok := m.m[k]; ok {
-		m.bytes -= n.size
 		n.val = v
-		n.size = m.sizeOf(v)
-		m.bytes += n.size
 		if m.head != n {
 			m.unlink(n)
 			m.pushFront(n)
 		}
-		m.enforce()
 		return
 	}
-	n := &memoNode[V]{key: k, val: v, size: m.sizeOf(v)}
+	n := &memoNode[V]{key: k, val: v}
 	m.m[k] = n
-	m.bytes += n.size
 	m.pushFront(n)
-	m.enforce()
-}
-
-// sizeOf reports v's payload bytes (0 without a size function).
-func (m *Memo[V]) sizeOf(v V) int64 {
-	if m.size == nil {
-		return 0
-	}
-	return m.size(v)
-}
-
-// enforce evicts LRU entries until both bounds hold. The loop terminates
-// because every eviction shrinks the table; an entry larger than the whole
-// byte budget empties the table (itself included) rather than overshooting.
-func (m *Memo[V]) enforce() {
-	for (m.cap > 0 && len(m.m) > m.cap) || (m.budget > 0 && m.bytes > m.budget) {
-		if !m.DropOldest() {
-			return
-		}
+	if m.cap > 0 && len(m.m) > m.cap {
+		m.DropOldest()
 	}
 }
 
@@ -280,7 +236,6 @@ func (m *Memo[V]) DropOldest() bool {
 	}
 	m.unlink(victim)
 	delete(m.m, victim.key)
-	m.bytes -= victim.size
 	m.evictions++
 	return true
 }
@@ -296,7 +251,3 @@ func (m *Memo[V]) Evictions() int64 { return m.evictions }
 
 // Len returns the number of memoized entries.
 func (m *Memo[V]) Len() int { return len(m.m) }
-
-// Bytes returns the payload bytes currently retained (always 0 without a
-// size function).
-func (m *Memo[V]) Bytes() int64 { return m.bytes }

@@ -216,92 +216,17 @@ func TestMemoUnboundedNeverEvicts(t *testing.T) {
 	}
 }
 
-// TestMemoByteBudgetEvictsLRU covers the payload-size accounting: entries
-// cost their reported bytes, an insert past the byte budget evicts LRU
-// entries until the total fits again, and Bytes tracks exactly.
-func TestMemoByteBudgetEvictsLRU(t *testing.T) {
-	key := func(i int) Key { return NewKey().Int(int64(i)) }
-	size := func(v int) int64 { return int64(v) }
-	m := NewMemoBudget[int](0, 100, size)
-	m.Put(key(1), 40)
-	m.Put(key(2), 40)
-	if m.Bytes() != 80 {
-		t.Fatalf("Bytes() = %d, want 80", m.Bytes())
-	}
-	m.Get(key(1)) // freshen 1: the byte-budget victim is now 2
-	m.Put(key(3), 40)
-	if m.Bytes() != 80 || m.Len() != 2 {
-		t.Fatalf("after budget eviction: bytes=%d len=%d, want 80/2", m.Bytes(), m.Len())
-	}
-	if _, ok := m.Get(key(2)); ok {
-		t.Error("LRU entry 2 survived the byte-budget eviction")
-	}
-	if _, ok := m.Get(key(1)); !ok {
-		t.Error("freshened entry 1 was evicted")
-	}
-	if m.Evictions() != 1 {
-		t.Errorf("Evictions() = %d, want 1", m.Evictions())
-	}
-
-	// Updating a key in place re-sizes it; growing past the budget evicts.
-	m.Put(key(1), 70) // table now {1:70, 3:40} = 110 > 100 -> evict LRU (3)
-	if m.Len() != 1 || m.Bytes() != 70 {
-		t.Fatalf("after in-place growth: len=%d bytes=%d, want 1/70", m.Len(), m.Bytes())
-	}
-	if _, ok := m.Get(key(3)); ok {
-		t.Error("entry 3 survived the in-place growth past budget")
-	}
-}
-
-// TestMemoByteBudgetOversizedEntry: a single value larger than the whole
-// budget must not wedge the table over budget — it is admitted and
-// immediately evicted, leaving the table empty but consistent.
-func TestMemoByteBudgetOversizedEntry(t *testing.T) {
-	m := NewMemoBudget[int](0, 50, func(v int) int64 { return int64(v) })
-	m.Put(NewKey().Int(1), 200)
-	if m.Len() != 0 || m.Bytes() != 0 {
-		t.Fatalf("oversized entry retained: len=%d bytes=%d", m.Len(), m.Bytes())
-	}
-	// The table still works afterwards.
-	k := NewKey().Int(2)
-	m.Put(k, 30)
-	if v, ok := m.Get(k); !ok || v != 30 {
-		t.Fatalf("memo broken after oversized insert: (%d, %v)", v, ok)
-	}
-}
-
-// TestMemoBudgetAndCapCompose: whichever bound trips first evicts.
-func TestMemoBudgetAndCapCompose(t *testing.T) {
-	key := func(i int) Key { return NewKey().Int(int64(i)) }
-	m := NewMemoBudget[int](3, 100, func(v int) int64 { return int64(v) })
-	m.Put(key(1), 10)
-	m.Put(key(2), 10)
-	m.Put(key(3), 10)
-	m.Put(key(4), 10) // entry cap trips: 4 entries, only 40 bytes
-	if m.Len() != 3 || m.Bytes() != 30 {
-		t.Fatalf("cap bound: len=%d bytes=%d, want 3/30", m.Len(), m.Bytes())
-	}
-	m.Put(key(5), 90) // byte budget trips: 3 entries would be 110 bytes
-	if m.Bytes() > 100 || m.Len() > 3 {
-		t.Fatalf("byte bound: len=%d bytes=%d, want <= 3 entries and <= 100 bytes", m.Len(), m.Bytes())
-	}
-}
-
-// TestMemoCapSemanticsUnchanged pins the existing NewMemoCap behaviour:
-// without a size function Bytes stays 0 and only the entry cap evicts.
+// TestMemoCapSemanticsUnchanged pins the NewMemoCap behaviour: only the
+// entry cap evicts, whatever the stored values are.
 func TestMemoCapSemanticsUnchanged(t *testing.T) {
 	m := NewMemoCap[int](2)
 	m.Put(NewKey().Int(1), 1_000_000)
 	m.Put(NewKey().Int(2), 2_000_000)
-	if m.Bytes() != 0 {
-		t.Fatalf("NewMemoCap counts bytes: %d", m.Bytes())
-	}
 	if m.Len() != 2 || m.Evictions() != 0 {
 		t.Fatalf("NewMemoCap evicted early: len=%d evictions=%d", m.Len(), m.Evictions())
 	}
-	// DropOldest keeps byte accounting consistent even at zero weight.
 	m.DropOldest()
-	if m.Bytes() != 0 || m.Len() != 1 {
-		t.Fatalf("after DropOldest: bytes=%d len=%d", m.Bytes(), m.Len())
+	if m.Len() != 1 {
+		t.Fatalf("after DropOldest: len=%d", m.Len())
 	}
 }

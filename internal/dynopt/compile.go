@@ -1,12 +1,13 @@
-// Asynchronous background compilation: the compile pipeline (xlate → opt
-// → constraint/deps → sched → alias allocation → vliw.Compile) extracted
-// into a pure function over snapshotted inputs, so it can run either
-// synchronously (the legacy instant-install path, Compile.Workers == 0)
-// or on a bounded host worker pool behind a deterministic simulated
-// compile-latency model.
+// Compilation: the pipeline (xlate → opt → constraint/deps → sched →
+// alias allocation → vliw.Compile) is a pure function over snapshotted
+// inputs, and every request takes one flow (startCompile): snapshot,
+// memo or shared-cache lookup, host-fault draws, run, admission, install.
+// With Compile.Workers == 0 the job runs inline and installs at once;
+// otherwise it runs on a bounded host worker pool behind a deterministic
+// simulated compile-latency model.
 //
 // Determinism rule: a region's install point is a pure function of the
-// simulated clock — readyAt = enqueue-cycle + CompileCyclesPerInst ×
+// simulated clock — readyAt = request cycle + CompileCyclesPerInst ×
 // guest insts + CompileCyclesPerCheck × guest mem ops, both derived from
 // the superblock alone, never from the compile result or the wall clock.
 // Every simulated decision (chaos draws, memo lookups, enqueue, install,
@@ -41,20 +42,20 @@ import (
 
 // CompileConfig configures the background-compilation subsystem.
 type CompileConfig struct {
-	// Workers selects the compile path. 0 (the default) is the legacy
-	// synchronous path: compilations install instantly and charge
-	// Opt/SchedCycles on the critical path. Workers >= 1 enables the
-	// background model: compilations run on that many host workers while
-	// the interpreter keeps executing, and install only once the
-	// simulated clock passes the region's readyAt point. Every N >= 1
-	// yields byte-identical simulated results.
+	// Workers is the compile worker count. 0 (the default) runs each
+	// compile inline: it installs at the request's simulated instant and
+	// charges Opt/SchedCycles on the critical path. Workers >= 1 runs
+	// compiles on that many host workers while the interpreter keeps
+	// executing, and installs each only once the simulated clock passes
+	// the region's readyAt point. Every N >= 1 yields byte-identical
+	// simulated results.
 	Workers int
 	// Memoize enables content-hash memoization of compiled regions:
 	// recompiling a region whose guest instructions and configuration
 	// bits hash to a previously compiled key reuses that code without
 	// re-running the pipeline. Simulated costs are replayed on a hit, so
 	// stats are identical with memoization on or off (apart from the
-	// hit/miss counters themselves). Works in both compile paths.
+	// hit/miss counters themselves). Works at any worker count.
 	Memoize bool
 	// MemoCapacity bounds the memo table in entries; past the bound the
 	// least recently used entry is evicted. 0 selects
@@ -66,10 +67,6 @@ type CompileConfig struct {
 	// result is never read — and the region retries later under the
 	// transient-failure backoff. 0 selects DefaultWatchdogFactor.
 	WatchdogFactor int
-	// MemoBudgetBytes additionally bounds the private memo table by
-	// retained compiled-region bytes (vliw.CompiledRegion.Bytes); 0 means
-	// no byte bound. Applies with Memoize only.
-	MemoBudgetBytes int64
 	// SharedPool, when non-nil, runs this System's background compiles on
 	// a host-wide worker pool shared across concurrently running Systems
 	// (fleet execution) instead of a private per-System pool. Workers must
@@ -94,16 +91,13 @@ const DefaultMemoCapacity = 4096
 // DefaultWatchdogFactor is the deadline multiple when WatchdogFactor is 0.
 const DefaultWatchdogFactor = 4
 
-// memoCapacity resolves the configured memo bound (0 = unbounded, for
-// compilequeue.NewMemoCap).
+// memoCapacity resolves the configured memo bound for
+// compilequeue.NewMemoCap, which reads a negative bound as unbounded.
 func (cc CompileConfig) memoCapacity() int {
-	switch {
-	case cc.MemoCapacity > 0:
-		return cc.MemoCapacity
-	case cc.MemoCapacity < 0:
-		return 0
+	if cc.MemoCapacity == 0 {
+		return DefaultMemoCapacity
 	}
-	return DefaultMemoCapacity
+	return cc.MemoCapacity
 }
 
 // watchdogFactor resolves the configured deadline multiple.
@@ -117,7 +111,7 @@ func (cc CompileConfig) watchdogFactor() int64 {
 // CompileStats is the background-compilation accounting.
 type CompileStats struct {
 	// Enqueued/Installed/Canceled/Failed count background compilations
-	// through their lifecycle (all zero in synchronous mode).
+	// through their lifecycle (all zero with Workers == 0).
 	Enqueued  int64
 	Installed int64
 	Canceled  int64
@@ -180,7 +174,7 @@ var errWatchdogTimeout = errors.New("dynopt: compile watchdog deadline overrun")
 var errPoisonedResult = errors.New("dynopt: poisoned compile result rejected")
 
 // compileInput is everything the pipeline reads, snapshotted on the
-// simulation thread at enqueue: the superblock is immutable after Form,
+// simulation thread at the request: the superblock is immutable after Form,
 // and the blacklist and pin sets are copied because the simulation thread
 // mutates the live maps on alias exceptions while a worker may still be
 // compiling.
@@ -190,7 +184,6 @@ type compileInput struct {
 	optCfg    opt.Config
 	scfg      sched.Config
 	blacklist alias.Blacklist
-	machine   vliw.Config
 }
 
 // compileOutput is the pipeline's result plus everything the install
@@ -216,7 +209,8 @@ type compileOutput struct {
 	panicked bool
 }
 
-// pendingCompile is one in-flight background compilation.
+// pendingCompile is one compile request between its start and its
+// install point.
 type pendingCompile struct {
 	entry      int
 	seq        int64 // enqueue order, the (readyAt, seq) tie break
@@ -225,19 +219,20 @@ type pendingCompile struct {
 	deadline   int64 // watchdog kill point: enqueue cycle + cost × watchdog factor
 	key        compilequeue.Key
 	memoHit    bool
-	recompile  bool // old code still installed (promotion-style recompile)
+	recompile  bool // code was installed when the request started
 	// hung marks a chaos-injected compile hang: no job is submitted, and
 	// the pending entry is killed by the watchdog at deadline.
 	hung bool
 	// out is written by the worker then published by closing done; on a
-	// memo hit it is set at enqueue and done stays nil.
+	// memo hit, or an inline compile, it is set at the start and done
+	// stays nil.
 	out  *compileOutput
 	done chan struct{}
-	// flight is the shared-cache single-flight this enqueue leads or
-	// joined (shared mode only); the install point takes the result from
-	// it when out is still nil. deduped marks the follower case — this
-	// enqueue joined another tenant's flight instead of leading one — so
-	// the install point can attribute its latency as dedupe wait.
+	// flight is the shared-cache single-flight this request leads or
+	// joined (shared mode only); wait takes the result from it when out
+	// is still nil. deduped marks the follower case — this request joined
+	// another tenant's flight instead of leading one — so the install
+	// point can attribute its latency as dedupe wait.
 	flight  *codecache.Flight[*compileOutput]
 	deduped bool
 }
@@ -257,9 +252,6 @@ func (p *pendingCompile) at() int64 {
 // Compile.Workers == 0).
 type bgCompile struct {
 	pool *compilequeue.Pool
-	// sharedPool marks pool as fleet-owned: the System must never close
-	// it (other tenants' compiles are still running on it).
-	sharedPool bool
 	// pending maps a region entry to its live pending compile
 	// (single-flight per entry); queue holds the same entries in install
 	// order (readyAt, then enqueue seq).
@@ -287,10 +279,9 @@ func (s *System) newCompileInput(entry int) (*compileInput, error) {
 	// same region never collide in the memo.
 	et := s.effectiveTier(entry)
 	in := &compileInput{
-		entry:   entry,
-		sb:      sb,
-		optCfg:  s.optConfig(et),
-		machine: s.cfg.Machine,
+		entry:  entry,
+		sb:     sb,
+		optCfg: s.optConfig(et),
 	}
 	if bl := s.blacklist[entry]; len(bl) > 0 {
 		in.blacklist = make(alias.Blacklist, len(bl))
@@ -322,7 +313,7 @@ func (s *System) newCompileInput(entry int) (*compileInput, error) {
 }
 
 // arenaPool recycles translate arenas across compiles. Each pipeline run
-// (synchronous path or worker goroutine) takes one arena for its
+// (inline or on a worker goroutine) takes one arena for its
 // duration; installed code is frozen out of the arena before it returns
 // to the pool, so nothing that outlives the compile aliases pooled
 // memory.
@@ -403,7 +394,7 @@ func runCompilePipeline(in *compileInput) *compileOutput {
 	// Freeze the schedule and region out of the arena: the compiled
 	// region is retained for the lifetime of the system.
 	fseq, freg := ir.Freeze(sc.Seq, reg)
-	out.cr = in.machine.Compile(fseq, freg, len(in.sb.Insts))
+	out.cr = in.scfg.Machine.Compile(fseq, freg, len(in.sb.Insts))
 	out.alloc = sc.Alloc.Stats
 	out.working = core.MeasureWorkingSets(sc.Alloc, in.sb.NumMemOps())
 	out.seqLen = len(sc.Seq)
@@ -454,7 +445,7 @@ func runCompilePipelineRef(in *compileInput) *compileOutput {
 	}
 
 	out.numOps = int64(len(reg.Ops))
-	out.cr = in.machine.Compile(sc.Seq, reg, len(in.sb.Insts))
+	out.cr = in.scfg.Machine.Compile(sc.Seq, reg, len(in.sb.Insts))
 	out.alloc = sc.Alloc.Stats
 	out.working = core.MeasureWorkingSets(sc.Alloc, in.sb.NumMemOps())
 	out.seqLen = len(sc.Seq)
@@ -462,7 +453,7 @@ func runCompilePipelineRef(in *compileInput) *compileOutput {
 }
 
 // runCompileJob is the fault-domain wrapper every fresh compile runs
-// inside (on a worker goroutine or in place on the synchronous path): it
+// inside (on a worker goroutine or inline): it
 // recovers a panicking pipeline into a failed compileOutput — so a host
 // bug in one compile can never take down the process or wedge the
 // install point — and stamps the content checksum the install-time
@@ -473,10 +464,8 @@ func runCompileJob(in *compileInput, panicInject bool, poison faultinject.Poison
 	defer func() {
 		if r := recover(); r != nil {
 			out = &compileOutput{
-				guestInsts: len(in.sb.Insts),
-				memOps:     in.sb.NumMemOps(),
-				panicked:   true,
-				err:        fmt.Errorf("%w: B%d: %v", errCompilePanic, in.entry, r),
+				panicked: true,
+				err:      fmt.Errorf("%w: B%d: %v", errCompilePanic, in.entry, r),
 			}
 		}
 	}()
@@ -516,7 +505,10 @@ var keyScratchPool = sync.Pool{New: func() interface{} { return &keyScratch{} }}
 // memoKey canonically hashes a compile input: every superblock byte plus
 // every configuration bit the pipeline reads. Fields that cannot vary
 // within one System (the machine model, ablations, hardware mode) are
-// still folded — they are cheap and keep the key self-contained.
+// still folded: Systems that share a CodeCache may differ in any of them.
+// The machine model reaches the schedule and the cycle count through its
+// issue widths and latencies; its cost-model fields are read at install
+// time, not by the pipeline, so they stay out of the key.
 func memoKey(in *compileInput) compilequeue.Key {
 	k := compilequeue.NewKey()
 	sb := in.sb
@@ -536,6 +528,9 @@ func memoKey(in *compileInput) compilequeue.Key {
 	sc := &in.scfg
 	k = k.Int(int64(sc.Mode)).Int(int64(sc.NumAliasRegs)).Bool(sc.StoreReorder).Bool(sc.ForceNonSpec)
 	k = k.Int(int64(sc.PressureMargin)).Bool(sc.Alloc.DisableAnti).Bool(sc.Alloc.DisableRotation)
+	m := &sc.Machine
+	k = k.Int(int64(m.IssueWidth)).Int(int64(m.MemPorts)).Int(int64(m.IntLat)).Int(int64(m.MemLat))
+	k = k.Int(int64(m.FPLat)).Int(int64(m.FDivLat)).Int(int64(m.FSqrtLat))
 	if len(sc.PinnedOps) == 0 && len(in.blacklist) == 0 {
 		// Common case: no pins, no blacklist. Encode the zero lengths
 		// without touching the scratch pool.
@@ -570,25 +565,8 @@ func memoKey(in *compileInput) compilequeue.Key {
 	return k
 }
 
-// outputClean reports whether a fresh compile result is fit for the
-// shared fleet cache: not panicked, no pipeline error, and
-// self-consistent (the content checksum recomputes and the structural
-// invariants hold). It mirrors admitOutput without the stats and
-// quarantine side effects — the leading tenant decides cache admission
-// with it, so a poisoned or failed result never enters the shared table,
-// while every installing tenant still re-screens through admitOutput.
-func outputClean(out *compileOutput) bool {
-	if out == nil || out.panicked || out.err != nil || out.cr == nil {
-		return false
-	}
-	if out.cr.Checksum() != out.checksum {
-		return false
-	}
-	return out.cr.Validate() == nil
-}
-
-// compileOutputBytes sizes a compile output for byte-budgeted caches by
-// its dominant retained allocation, the frozen compiled region.
+// compileOutputBytes sizes a compile output for the shared cache's byte
+// budget by its dominant retained allocation, the frozen compiled region.
 func compileOutputBytes(out *compileOutput) int64 {
 	if out == nil || out.cr == nil {
 		return 0
@@ -598,9 +576,9 @@ func compileOutputBytes(out *compileOutput) int64 {
 
 // drawHostFaults performs the per-fresh-compile host-fault draws, in a
 // fixed order on the simulation thread, so the injector's sequence is
-// independent of the worker count and host timing. withHang is true only
-// on the background path — a synchronous compile has no watchdog
-// deadline to overrun. A drawn hang dominates (the job never finishes,
+// independent of the worker count and host timing. withHang is false on
+// the inline path — an inline compile has no watchdog deadline to
+// overrun. A drawn hang dominates (the job never finishes,
 // so a panic or poison inside it would be unobservable), and a drawn
 // panic dominates poison (a panicking job produces no result to poison).
 func (s *System) drawHostFaults(entry int, withHang bool) (panicInject, hang bool, poison faultinject.PoisonMode) {
@@ -630,152 +608,67 @@ func (s *System) drawHostFaults(entry int, withHang bool) (panicInject, hang boo
 	return false, false, poison
 }
 
-// memoPressureDraw applies injected host memory pressure to the memo
-// table ahead of a lookup: the LRU entry is evicted, so a previously
-// memoized region may have to recompile.
-func (s *System) memoPressureDraw(entry int) {
-	if s.inj == nil || !s.inj.MemoPressure() {
-		return
-	}
-	if s.memo.DropOldest() {
-		s.tel.chaosInjected(s.now(), entry, s.tierOf(entry), telemetry.CauseMemoPressure)
-		s.tel.memoTable(s.memo.Len(), s.memo.Evictions())
-		s.trace("injected memo pressure: dropped LRU entry (%d left)", s.memo.Len())
-	}
-}
-
-// admitOutput decides whether a fresh compile result may be installed.
-// Three screens, in order: a recovered worker panic (the result never
-// existed, and the region is quarantined — the pipeline provably cannot
-// handle this input), the pipeline's own error, then the poisoned-result
-// screen — the content checksum recomputed on the simulation thread
-// against the worker's stamp, and the structural invariants for
-// corruption that predates the stamp. A rejected result is never
-// memoized and never dispatched. Memo hits were admitted when first
-// stored, so re-admitting them is a pure double-check.
-func (s *System) admitOutput(entry int, out *compileOutput) error {
-	if out.panicked {
-		s.Stats.Compile.WorkerPanics++
-		s.recordHostFault(entry, telemetry.CauseWorkerPanic)
-		s.quarantineRegion(entry, telemetry.CauseWorkerPanic)
-		return out.err
-	}
+// screenOutput is the pure half of admission, in order: a recovered
+// worker panic or the pipeline's own error, then the poisoned-result
+// screen — the content checksum recomputed against the worker's stamp,
+// and the structural invariants for corruption that predates the stamp.
+// A shared-cache leader screens before publishing, so a failed or
+// poisoned result never enters the shared table.
+func screenOutput(entry int, out *compileOutput) error {
 	if out.err != nil {
 		return out.err
 	}
 	if got := out.cr.Checksum(); got != out.checksum {
-		s.Stats.Compile.Rejected++
-		s.recordHostFault(entry, telemetry.CausePoison)
 		return fmt.Errorf("%w: B%d content checksum %#x, stamped %#x", errPoisonedResult, entry, got, out.checksum)
 	}
 	if verr := out.cr.Validate(); verr != nil {
-		s.Stats.Compile.Rejected++
-		s.recordHostFault(entry, telemetry.CausePoison)
 		return fmt.Errorf("%w: B%d structural invariants: %v", errPoisonedResult, entry, verr)
 	}
 	return nil
 }
 
-// compile is the synchronous compile-and-install path (Compile.Workers ==
-// 0): the pipeline runs in place and the region installs instantly,
-// charging Opt/SchedCycles on the critical path.
-func (s *System) compile(entry int) error {
-	if s.inj != nil && s.inj.CompileFail() {
-		s.trace("injected compile failure for B%d", entry)
-		s.tel.chaosInjected(s.now(), entry, s.tierOf(entry), telemetry.CauseCompileFail)
-		return fmt.Errorf("%w for B%d", errInjectedCompileFail, entry)
+// admitOutput decides whether a compile result may be installed
+// (screenOutput) and accounts a rejection: a worker panic quarantines the
+// region — the pipeline provably cannot handle this input — and a
+// poisoned result counts as rejected. A rejected result is never memoized
+// and never dispatched. Memo hits were admitted when first stored, so
+// re-admitting them is a pure double-check.
+func (s *System) admitOutput(entry int, out *compileOutput) error {
+	err := screenOutput(entry, out)
+	switch {
+	case out.panicked:
+		s.Stats.Compile.WorkerPanics++
+		s.recordHostFault(entry, telemetry.CauseWorkerPanic)
+		s.quarantineRegion(entry, telemetry.CauseWorkerPanic)
+	case errors.Is(err, errPoisonedResult):
+		s.Stats.Compile.Rejected++
+		s.recordHostFault(entry, telemetry.CausePoison)
 	}
-	in, err := s.newCompileInput(entry)
-	if err != nil {
-		return err
-	}
-	var (
-		out     *compileOutput
-		key     compilequeue.Key
-		memoHit bool
-	)
-	if s.memo != nil {
-		s.memoPressureDraw(entry)
-		key = memoKey(in)
-		if m, ok := s.memo.Get(key); ok {
-			out, memoHit = m, true
-			s.Stats.Compile.MemoHits++
-			s.tel.memoLookup(true)
-		} else {
-			s.Stats.Compile.MemoMisses++
-			s.tel.memoLookup(false)
-		}
-	}
-	if s.shared != nil {
-		key = memoKey(in)
-		v, hit, flight, leader := s.shared.cache.Lookup(key)
-		switch {
-		case hit:
-			out, memoHit = v, true
-			s.Stats.Compile.MemoHits++
-			s.tel.memoLookup(true)
-		case leader:
-			s.Stats.Compile.MemoMisses++
-			s.tel.memoLookup(false)
-			panicInject, _, poison := s.drawHostFaults(entry, false)
-			out = runCompileJob(in, panicInject, poison)
-			s.shared.cache.Complete(key, flight, out, outputClean(out))
-		default:
-			// Another tenant is compiling this key right now: take its
-			// result instead of duplicating the work. Blocking inline is
-			// safe — leadership is only ever held while the leader runs
-			// its compile job, so the flight always completes.
-			s.Stats.Compile.MemoMisses++
-			s.Stats.Compile.DedupeWaits++
-			s.tel.memoLookup(false)
-			<-flight.Done()
-			out, memoHit = flight.Value(), true
-			// The wait is wall-clock only: synchronous compilation happens
-			// at one simulated instant, so the modelled dedupe wait is 0.
-			s.tel.dedupeWaited(0)
-		}
-	}
-	if out == nil {
-		panicInject, _, poison := s.drawHostFaults(entry, false)
-		out = runCompileJob(in, panicInject, poison)
-	}
-	if err := s.admitOutput(entry, out); err != nil {
-		return err
-	}
-	if s.memo != nil && !memoHit {
-		s.memo.Put(key, out)
-		s.tel.memoTable(s.memo.Len(), s.memo.Evictions())
-	}
-	s.installOutput(entry, out, 0)
-	return nil
+	return err
 }
 
-// requestCompile starts a compilation for entry: synchronously in the
-// legacy path, or as a background enqueue. An error is returned only for
-// failures observable at request time (injected chaos failures, region
-// formation, and — synchronously — the whole pipeline); background
-// pipeline failures surface at the install point instead. Suppressed
-// requests (a quarantined region, or compilation shed by the health
-// controller) return nil silently: not compiling is the intended
-// outcome, not a failure to back off from.
-func (s *System) requestCompile(entry int) error {
+// requestCompile compiles a hot region that has no code installed. A
+// request-time failure backs the region off (see compileFailBackoff).
+// Suppressed requests (a quarantined region, or compilation shed by the
+// health controller) do nothing: not compiling is the intended outcome,
+// not a failure to back off from.
+func (s *System) requestCompile(entry int) {
 	if !s.compileAllowed(entry) {
-		return nil
+		return
 	}
-	if s.bg == nil {
-		return s.compile(entry)
+	if err := s.startCompile(entry); err != nil {
+		s.compileFailed(entry, false, err)
 	}
-	return s.enqueueCompile(entry)
 }
 
 // recompileRegion re-(or newly-)compiles entry after its compile inputs
-// changed (a tier move, a hardened pair, a pinned load): synchronously in
-// place, or by cancelling any now-stale pending compile and enqueueing a
-// fresh one against the updated inputs. When compilation is suppressed,
-// both the pending compile and any installed code are built against the
-// old inputs — throw both away; the region re-forms once compiles are
-// allowed again.
-func (s *System) recompileRegion(entry int) error {
+// changed (a tier move, a hardened pair, a pinned load), cancelling any
+// now-stale pending compile first. A request-time failure drops whatever
+// code is installed: it is built against the old inputs. When
+// compilation is suppressed, the pending compile and the installed code
+// are both stale — throw both away; the region re-forms once compiles
+// are allowed again.
+func (s *System) recompileRegion(entry int) {
 	if !s.compileAllowed(entry) {
 		s.cancelPending(entry, telemetry.CauseHealth)
 		if s.disp[entry].code != nil {
@@ -783,26 +676,34 @@ func (s *System) recompileRegion(entry int) error {
 			s.Stats.RegionsDropped++
 			s.tel.drop(s.now(), entry, s.tierOf(entry), telemetry.CauseHealth)
 		}
-		return nil
-	}
-	if s.bg == nil {
-		return s.compile(entry)
+		return
 	}
 	s.cancelPending(entry, telemetry.CauseStale)
-	return s.enqueueCompile(entry)
+	if err := s.startCompile(entry); err != nil {
+		s.compileFailed(entry, true, err)
+	}
 }
 
-// enqueueCompile snapshots entry's inputs, fixes the install point from
-// the simulated clock and the superblock alone, and hands the pure
-// pipeline to the worker pool (unless the memo already has the result).
-// Single-flight per entry: a live pending compile absorbs the request.
-func (s *System) enqueueCompile(entry int) error {
+// startCompile takes one compile request through the single compile
+// flow: snapshot the inputs, look the key up in the memo or the shared
+// cache, draw the host faults for a fresh compile, run the job, and
+// install the result at its install point. The install point is a pure
+// function of the simulated clock and the superblock. With Workers == 0
+// the job runs inline and installs at the request's own simulated
+// instant: nothing is queued, no hang can be drawn (there is no watchdog
+// deadline to overrun), and the install charges Opt/SchedCycles on the
+// critical path. Otherwise the job runs on the worker pool and
+// drainCompiles installs it once the clock passes readyAt; a live
+// pending compile absorbs further requests for the entry. The error
+// covers request-time failures only (an injected compile failure, region
+// formation); pipeline failures surface at the install point.
+func (s *System) startCompile(entry int) error {
 	bg := s.bg
-	if bg.pending[entry] != nil {
+	if bg != nil && bg.pending[entry] != nil {
 		return nil
 	}
-	// The chaos draw happens at enqueue on the simulation thread, so the
-	// injector's sequence is independent of the worker count.
+	// Every chaos draw happens on the simulation thread, so the injector's
+	// sequence is independent of the worker count.
 	if s.inj != nil && s.inj.CompileFail() {
 		s.trace("injected compile failure for B%d", entry)
 		s.tel.chaosInjected(s.now(), entry, s.tierOf(entry), telemetry.CauseCompileFail)
@@ -812,87 +713,36 @@ func (s *System) enqueueCompile(entry int) error {
 	if err != nil {
 		return err
 	}
-	cost := int64(s.cfg.Machine.CompileCyclesPerInst)*int64(len(in.sb.Insts)) +
-		int64(s.cfg.Machine.CompileCyclesPerCheck)*int64(in.sb.NumMemOps())
-	bg.seq++
 	now := s.now()
-	p := &pendingCompile{
-		entry:      entry,
-		seq:        bg.seq,
-		enqueuedAt: now,
-		readyAt:    now + cost,
-		deadline:   now + cost*s.cfg.Compile.watchdogFactor(),
-		recompile:  s.disp[entry].code != nil,
-	}
-	if s.memo != nil {
-		s.memoPressureDraw(entry)
-		p.key = memoKey(in)
-		if out, ok := s.memo.Get(p.key); ok {
-			p.out, p.memoHit = out, true
-			s.Stats.Compile.MemoHits++
-		} else {
-			s.Stats.Compile.MemoMisses++
+	var p *pendingCompile
+	var cost int64
+	if bg == nil {
+		p = &s.inline
+		*p = pendingCompile{entry: entry, enqueuedAt: now, readyAt: now}
+	} else {
+		cost = int64(s.cfg.Machine.CompileCyclesPerInst)*int64(len(in.sb.Insts)) +
+			int64(s.cfg.Machine.CompileCyclesPerCheck)*int64(in.sb.NumMemOps())
+		bg.seq++
+		p = &pendingCompile{
+			entry:      entry,
+			seq:        bg.seq,
+			enqueuedAt: now,
+			readyAt:    now + cost,
+			deadline:   now + cost*s.cfg.Compile.watchdogFactor(),
 		}
 	}
-	if s.shared != nil {
-		p.key = memoKey(in)
-		v, hit, flight, leader := s.shared.cache.Lookup(p.key)
-		switch {
-		case hit:
-			p.out, p.memoHit = v, true
-			s.Stats.Compile.MemoHits++
-		case leader:
-			s.Stats.Compile.MemoMisses++
-			panicInject, hang, poison := s.drawHostFaults(entry, true)
-			if hang {
-				p.hung = true
-				// A hung leader never submits a job, so it must settle the
-				// flight here or followers on other tenants would wait
-				// forever. The synthetic watchdog failure is never inserted
-				// (insert=false): the next lookup elects a fresh leader.
-				s.shared.cache.Complete(p.key, flight, &compileOutput{
-					guestInsts: len(in.sb.Insts),
-					memOps:     in.sb.NumMemOps(),
-					err:        fmt.Errorf("%w for B%d", errWatchdogTimeout, entry),
-				}, false)
-			} else {
-				if bg.pool == nil {
-					bg.pool = compilequeue.NewPool(s.cfg.Compile.Workers)
-				}
-				p.flight = flight
-				key, cache := p.key, s.shared.cache
-				bg.pool.Submit(func() {
-					out := runCompileJob(in, panicInject, poison)
-					cache.Complete(key, flight, out, outputClean(out))
-				})
-			}
-		default:
-			// Another tenant's compile of this key is in flight: join it.
-			// The install point blocks on the flight only once the
-			// simulated clock passes readyAt, exactly like a private job.
-			s.Stats.Compile.MemoMisses++
-			s.Stats.Compile.DedupeWaits++
-			p.flight = flight
-			p.deduped = true
-		}
+	p.recompile = s.disp[entry].code != nil
+	s.lookupCompiled(p, in)
+	if p.out == nil && !p.deduped {
+		s.runFresh(p, in)
 	}
-	if p.out == nil && !p.hung && p.flight == nil {
-		// Host faults only strike fresh compiles: a memo hit runs no
-		// worker job, so there is nothing to panic, hang or poison.
-		panicInject, hang, poison := s.drawHostFaults(entry, true)
-		if hang {
-			p.hung = true
-		} else {
-			if bg.pool == nil {
-				bg.pool = compilequeue.NewPool(s.cfg.Compile.Workers)
-			}
-			p.done = make(chan struct{})
-			job := p
-			bg.pool.Submit(func() {
-				job.out = runCompileJob(in, panicInject, poison)
-				close(job.done)
-			})
-		}
+	if bg == nil {
+		// A follower blocks inline on another tenant's flight. That is
+		// safe: leadership is only ever held while the leader runs its
+		// compile job, so the flight always completes.
+		p.wait()
+		s.installPending(p)
+		return nil
 	}
 	bg.pending[entry] = p
 	q := append(bg.queue, p)
@@ -912,6 +762,102 @@ func (s *System) enqueueCompile(entry int) error {
 	s.tel.compileEnqueue(now, entry, s.tierOf(entry), cost, depth, p.memoHit)
 	s.trace("enqueue compile B%d: ready at cycle %d (cost %d, depth %d)", entry, p.readyAt, cost, depth)
 	return nil
+}
+
+// lookupCompiled consults the private memo or the shared fleet cache for
+// p's input. A hit sets p.out. A shared-cache miss sets p.flight: either
+// this request now leads the key's compile, or it joined (p.deduped)
+// another tenant's compile of the same key already in flight.
+func (s *System) lookupCompiled(p *pendingCompile, in *compileInput) {
+	switch {
+	case s.memo != nil:
+		// Injected host memory pressure evicts the LRU entry ahead of the
+		// lookup, so a previously memoized region may have to recompile.
+		if s.inj != nil && s.inj.MemoPressure() && s.memo.DropOldest() {
+			s.tel.chaosInjected(s.now(), p.entry, s.tierOf(p.entry), telemetry.CauseMemoPressure)
+			s.tel.memoTable(s.memo.Len(), s.memo.Evictions())
+			s.trace("injected memo pressure: dropped LRU entry (%d left)", s.memo.Len())
+		}
+		p.key = memoKey(in)
+		p.out, p.memoHit = s.memo.Get(p.key)
+	case s.shared != nil:
+		p.key = memoKey(in)
+		var leader bool
+		p.out, p.memoHit, p.flight, leader = s.shared.cache.Lookup(p.key)
+		p.deduped = p.flight != nil && !leader
+	default:
+		return
+	}
+	if p.memoHit {
+		s.Stats.Compile.MemoHits++
+	} else {
+		s.Stats.Compile.MemoMisses++
+	}
+	if p.deduped {
+		s.Stats.Compile.DedupeWaits++
+	}
+	s.tel.memoLookup(p.memoHit)
+}
+
+// runFresh draws the host faults for a fresh compile and runs its job:
+// inline when Workers == 0, else on the worker pool. Host faults
+// only strike fresh compiles — a memo hit or a joined flight runs no job
+// here, so there is nothing to panic, hang or poison. A shared-cache
+// leader publishes its result through the flight; followers on other
+// tenants wait on it.
+func (s *System) runFresh(p *pendingCompile, in *compileInput) {
+	bg := s.bg
+	panicInject, hang, poison := s.drawHostFaults(p.entry, bg != nil)
+	switch {
+	case hang:
+		p.hung = true
+		if p.flight != nil {
+			// A hung leader never runs its job, so it must settle the
+			// flight here or followers would wait forever. The synthetic
+			// watchdog failure is never inserted (insert=false): the next
+			// lookup elects a fresh leader.
+			s.shared.cache.Complete(p.key, p.flight, &compileOutput{
+				err: fmt.Errorf("%w for B%d", errWatchdogTimeout, p.entry),
+			}, false)
+			p.flight = nil
+		}
+	case bg == nil:
+		p.out = runCompileJob(in, panicInject, poison)
+		if p.flight != nil {
+			s.shared.cache.Complete(p.key, p.flight, p.out, screenOutput(p.entry, p.out) == nil)
+		}
+	default:
+		if bg.pool == nil {
+			bg.pool = compilequeue.NewPool(s.cfg.Compile.Workers)
+		}
+		job, flight, key, shared := p, p.flight, p.key, s.shared
+		if flight == nil {
+			p.done = make(chan struct{})
+		}
+		bg.pool.Submit(func() {
+			out := runCompileJob(in, panicInject, poison)
+			if flight != nil {
+				shared.cache.Complete(key, flight, out, screenOutput(in.entry, out) == nil)
+				return
+			}
+			job.out = out
+			close(job.done)
+		})
+	}
+}
+
+// wait blocks until p's result exists: its own job's, or that of the
+// shared-cache flight it leads or joined.
+func (p *pendingCompile) wait() {
+	if p.done != nil {
+		<-p.done
+	}
+	if p.flight != nil {
+		<-p.flight.Done()
+		if p.out == nil {
+			p.out = p.flight.Value()
+		}
+	}
 }
 
 // cancelPending discards entry's pending compile, if any. The worker (if
@@ -942,8 +888,8 @@ func (s *System) cancelPending(entry int, cause telemetry.Cause) {
 // simulated clock has passed, in deterministic (event time, enqueue-seq)
 // order. This is the only place the simulation thread blocks on a worker
 // — and only when the simulated install point has already arrived. Hung
-// jobs never block: their done channel is nil and the watchdog kills
-// them at their deadline without reading a result.
+// jobs never block: they have neither a job nor a flight to wait on, and
+// the watchdog kills them at their deadline without reading a result.
 func (s *System) drainCompiles() {
 	bg := s.bg
 	if bg == nil {
@@ -955,24 +901,17 @@ func (s *System) drainCompiles() {
 		copy(bg.queue, bg.queue[1:])
 		bg.queue = bg.queue[:len(bg.queue)-1]
 		delete(bg.pending, p.entry)
-		if p.done != nil {
-			<-p.done
-		}
-		if p.flight != nil {
-			// Shared-cache job (led here or by another tenant): the result
-			// travels through the flight, not p.out.
-			<-p.flight.Done()
-			if p.out == nil {
-				p.out = p.flight.Value()
-			}
-		}
+		p.wait()
 		s.installPending(p)
 	}
 }
 
-// installPending applies one completed background compilation at its
-// install point.
+// installPending applies one completed compilation at its install point.
+// The lifecycle accounting (CompileStats Installed, Failed, WorkCycles,
+// LatencySum) is background-only: an inline compile has no queue to
+// account for.
 func (s *System) installPending(p *pendingCompile) {
+	bg := s.bg
 	if p.hung {
 		// Watchdog kill at the deadline. The job was never submitted (an
 		// injected hang) or its result is simply never read, so the kill
@@ -982,60 +921,63 @@ func (s *System) installPending(p *pendingCompile) {
 		s.Stats.Compile.Failed++
 		s.Stats.Compile.WatchdogKills++
 		s.Stats.Compile.WorkCycles += p.deadline - p.enqueuedAt
-		s.tel.compileInstalled(p.deadline-p.enqueuedAt, len(s.bg.pending))
+		s.tel.compileInstalled(p.deadline-p.enqueuedAt, len(bg.pending))
 		s.recordHostFault(p.entry, telemetry.CauseWatchdog)
-		if p.recompile {
-			s.dropCode(p.entry)
-			s.Stats.RegionsDropped++
-			s.tel.drop(s.now(), p.entry, s.tierOf(p.entry), telemetry.CauseCompileFail)
-		} else {
-			s.compileFailBackoff(p.entry, errWatchdogTimeout)
-		}
+		s.compileFailed(p.entry, p.recompile, errWatchdogTimeout)
 		s.trace("watchdog killed compile B%d at its deadline (cycle %d)", p.entry, p.deadline)
 		return
 	}
 	latency := s.now() - p.enqueuedAt
-	s.Stats.Compile.WorkCycles += p.readyAt - p.enqueuedAt
-	s.Stats.Compile.LatencySum += latency
-	s.tel.compileInstalled(latency, len(s.bg.pending))
+	if bg != nil {
+		s.Stats.Compile.WorkCycles += p.readyAt - p.enqueuedAt
+		s.Stats.Compile.LatencySum += latency
+		s.tel.compileInstalled(latency, len(bg.pending))
+	}
 	if p.deduped {
 		s.tel.dedupeWaited(latency)
 	}
-	out := p.out
-	if err := s.admitOutput(p.entry, out); err != nil {
-		s.Stats.Compile.Failed++
-		if p.recompile {
-			// The superseding compile failed: the installed code is built
-			// against stale inputs, so drop it (the synchronous path's
-			// recompile-failure consequence).
-			s.dropCode(p.entry)
-			s.Stats.RegionsDropped++
-			s.tel.drop(s.now(), p.entry, s.tierOf(p.entry), telemetry.CauseCompileFail)
-		} else if !out.panicked {
-			// A panicked region is quarantined — it will never compile
-			// again, so no cooldown applies.
-			s.compileFailBackoff(p.entry, err)
+	if err := s.admitOutput(p.entry, p.out); err != nil {
+		if bg != nil {
+			s.Stats.Compile.Failed++
 		}
-		s.trace("background compile B%d failed: %v", p.entry, err)
+		s.compileFailed(p.entry, p.recompile, err)
+		s.trace("compile of B%d failed: %v", p.entry, err)
 		return
 	}
 	if s.memo != nil && !p.memoHit {
-		s.memo.Put(p.key, out)
+		s.memo.Put(p.key, p.out)
 		s.tel.memoTable(s.memo.Len(), s.memo.Evictions())
 	}
-	s.installOutput(p.entry, out, latency)
-	s.Stats.Compile.Installed++
+	s.installOutput(p.entry, p.out, latency)
+	if bg != nil {
+		s.Stats.Compile.Installed++
+	}
+}
+
+// compileFailed applies the consequence of a failed compile. When it was
+// to replace installed code, that code is built against stale inputs, so
+// it is dropped. Otherwise the region cools down before its next attempt
+// — except after a worker panic, which quarantined it for good.
+func (s *System) compileFailed(entry int, replacing bool, err error) {
+	switch {
+	case replacing:
+		s.dropCode(entry)
+		s.Stats.RegionsDropped++
+		s.tel.drop(s.now(), entry, s.tierOf(entry), telemetry.CauseCompileFail)
+	case !errors.Is(err, errCompilePanic):
+		s.compileFailBackoff(entry, err)
+	}
 }
 
 // installOutput installs a successful compile result: cycle accounting,
 // code cache insert (with capacity eviction), per-region statistics and
-// the compile telemetry event. Shared by both compile paths.
+// the compile telemetry event.
 func (s *System) installOutput(entry int, out *compileOutput, latency int64) {
 	s.Stats.OverflowRetries += out.overflowRetries
 	if s.bg == nil {
-		// Synchronous compilation executes on the critical path (the
-		// paper's Figure 18 cost); background compilation's occupancy is
-		// charged to CompileStats.WorkCycles at the install point instead.
+		// An inline compile executes on the critical path (the paper's
+		// Figure 18 cost); background compilation's occupancy is charged
+		// to CompileStats.WorkCycles at the install point instead.
 		s.Stats.OptCycles += out.numOps * int64(s.cfg.Machine.OptCyclesPerOp)
 		s.Stats.SchedCycles += out.numOps * int64(s.cfg.Machine.SchedCyclesPerOp)
 	}
@@ -1067,7 +1009,7 @@ func (s *System) installOutput(entry int, out *compileOutput, latency int64) {
 		SeqLen:         out.seqLen,
 		Cycles:         out.cr.Cycles,
 		CompileLatency: latency,
-		Tier:           rr.tier,
+		Tier:           rr.tier(),
 	}
 	if idx, ok := s.regionIdx[entry]; ok {
 		s.Stats.Regions[idx] = rs
@@ -1075,7 +1017,7 @@ func (s *System) installOutput(entry int, out *compileOutput, latency int64) {
 		s.regionIdx[entry] = len(s.Stats.Regions)
 		s.Stats.Regions = append(s.Stats.Regions, rs)
 	}
-	s.tel.regionCompile(s.now(), entry, rr.tier, recompile, &rs)
+	s.tel.regionCompile(s.now(), entry, rr.tier(), recompile, &rs)
 }
 
 // compileFailBackoff applies the hot-path cooldown after a failed
@@ -1115,7 +1057,7 @@ func (s *System) abandonCompiles() {
 		s.cancelPending(bg.queue[0].entry, telemetry.CauseRunEnd)
 	}
 	if bg.pool != nil {
-		if !bg.sharedPool {
+		if s.cfg.Compile.SharedPool == nil {
 			// A fleet-owned pool is still serving other tenants; its
 			// creator closes it after every System using it has finished.
 			bg.pool.Close()

@@ -123,9 +123,10 @@ func TestBackgroundMatchesInterpreter(t *testing.T) {
 }
 
 // TestBackgroundLatencyModel checks the cycle accounting split: the
-// synchronous path charges Opt/SchedCycles on the critical path, the
-// background path charges the latency model's occupancy to WorkCycles
-// (excluded from TotalCycles) and nothing to Opt/SchedCycles.
+// synchronous path charges Opt/SchedCycles on the critical path and
+// leaves the compile lifecycle accounting untouched, the background path
+// charges the latency model's occupancy to WorkCycles (excluded from
+// TotalCycles) and nothing to Opt/SchedCycles.
 func TestBackgroundLatencyModel(t *testing.T) {
 	mk := func(workers int) Config {
 		cfg := ConfigSMARQ(64)
@@ -136,8 +137,22 @@ func TestBackgroundLatencyModel(t *testing.T) {
 	bg := runInstrumented(t, sumLoopProgram(2000), 1<<16, mk(1))
 
 	ss, bs := syncRun.sys.Stats, bg.sys.Stats
-	if ss.Compile.Enqueued != 0 || ss.Compile.WorkCycles != 0 {
-		t.Errorf("sync path recorded background stats: %+v", ss.Compile)
+	// The sync path compiles inline: no compile ever enters the queue, so
+	// every lifecycle counter stays zero and no enqueue event is emitted.
+	c := ss.Compile
+	lifecycle := []int64{c.Enqueued, c.Installed, c.Canceled, c.Failed,
+		c.WorkCycles, c.LatencySum, int64(c.MaxQueueDepth), c.WatchdogKills}
+	for _, v := range lifecycle {
+		if v != 0 {
+			t.Errorf("sync path recorded background lifecycle stats: %+v", c)
+			break
+		}
+	}
+	if bytes.Contains(syncRun.trace, []byte(`"compile-enqueue"`)) {
+		t.Error("sync path emitted a compile-enqueue event")
+	}
+	if !bytes.Contains(bg.trace, []byte(`"compile-enqueue"`)) {
+		t.Error("test invalid: the background trace has no compile-enqueue event to look for")
 	}
 	if ss.OptCycles == 0 || ss.SchedCycles == 0 {
 		t.Error("sync path charged no compile cycles on the critical path")
@@ -201,7 +216,7 @@ func TestMemoHitReusesCompiledRegion(t *testing.T) {
 	// Evict the code and compile the entry again with unchanged inputs:
 	// the memo must hand back the identical compiled object.
 	sys.dropCode(entry)
-	if err := sys.compile(entry); err != nil {
+	if err := sys.startCompile(entry); err != nil {
 		t.Fatal(err)
 	}
 	if sys.Stats.Compile.MemoHits != before.MemoHits+1 {

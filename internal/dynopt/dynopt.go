@@ -352,6 +352,9 @@ type System struct {
 	bg     *bgCompile
 	memo   *compilequeue.Memo[*compileOutput]
 	shared *CodeCache
+	// inline is the synchronous path's job slot: an inline compile
+	// installs before the next one starts, so one slot is enough.
+	inline pendingCompile
 	// injFailStreak counts consecutive chaos-injected compile failures
 	// per entry; injected failures back off additively instead of the
 	// real-failure doubling (see compileFailBackoff).
@@ -415,17 +418,12 @@ func New(prog *guest.Program, st *guest.State, mem *guest.Memory, cfg Config) *S
 	}
 	if cfg.Compile.Workers > 0 {
 		s.bg = &bgCompile{
-			pending:    make(map[int]*pendingCompile),
-			pool:       cfg.Compile.SharedPool,
-			sharedPool: cfg.Compile.SharedPool != nil,
+			pending: make(map[int]*pendingCompile),
+			pool:    cfg.Compile.SharedPool,
 		}
 	}
 	if cfg.Compile.Memoize {
-		if b := cfg.Compile.MemoBudgetBytes; b > 0 {
-			s.memo = compilequeue.NewMemoBudget[*compileOutput](cfg.Compile.memoCapacity(), b, compileOutputBytes)
-		} else {
-			s.memo = compilequeue.NewMemoCap[*compileOutput](cfg.Compile.memoCapacity())
-		}
+		s.memo = compilequeue.NewMemoCap[*compileOutput](cfg.Compile.memoCapacity())
 	}
 	s.shared = cfg.Compile.SharedCache
 	if cfg.Health.Enabled() {
@@ -470,7 +468,7 @@ func (s *System) recoveryOf(entry int) *regionRecovery {
 // first compilation).
 func (s *System) tierOf(entry int) Tier {
 	if rr := s.disp[entry].rec; rr != nil {
-		return rr.tier
+		return rr.tier()
 	}
 	return TierFull
 }
@@ -588,34 +586,30 @@ func (s *System) Run(maxInsts uint64) (bool, error) {
 
 		// RunBlock succeeded, so id indexes a real block (and its slot).
 		de := &s.disp[id]
-		if rr := de.rec; rr != nil && rr.tier == TierPinned {
-			// Interpreter-pinned region: count the clean entry; a long
+		if rr := de.rec; rr != nil && rr.tier() == TierPinned {
+			// Interpreter-pinned region: its entry ran clean, so a long
 			// enough clean run re-promotes it to conservative compiled
 			// code (unless its backoff is exhausted).
 			s.Stats.Recovery.TierDispatches[TierPinned]++
-			if rr.recordPinnedEntry(s.cfg.Recovery) {
+			if rr.Clean() {
 				s.Stats.Recovery.Promotions++
 				de.cooldown = 0
-				s.tel.tierMove(s.now(), id, TierPinned, rr.tier, telemetry.CauseNone)
-				s.trace("promote B%d: %s -> %s after clean interpreted run", id, TierPinned, rr.tier)
+				s.tel.tierMove(s.now(), id, TierPinned, rr.tier(), telemetry.CauseNone)
+				s.trace("promote B%d: %s -> %s after clean interpreted run", id, TierPinned, rr.tier())
 			}
 		}
 
 		if s.hc != nil && s.hc.Level() >= health.CompileOff {
 			// Interpreter-only: nothing dispatches, so quiet interpreted
 			// progress is the only clean signal left to earn re-promotion
-			// with (the per-region analogue is recordPinnedEntry).
+			// with (the per-region analogue is a pinned region's entry).
 			s.healthClean()
 		}
 
 		if s.it.Prof.Hot(id, s.cfg.HotThreshold) && de.code == nil &&
 			s.tierOf(id) != TierPinned &&
 			s.it.Prof.BlockCounts[id] >= de.cooldown {
-			if err := s.requestCompile(id); err != nil {
-				// Unschedulable regions stay interpreted; injected chaos
-				// failures retry sooner (see compileFailBackoff).
-				s.compileFailBackoff(id, err)
-			}
+			s.requestCompile(id)
 		}
 		id = next
 	}
@@ -654,8 +648,9 @@ func (s *System) runRegion(entry int, c *compiled) int {
 	s.entrySeq++
 	c.lastUse = s.entrySeq
 	rr := s.recoveryOf(entry)
-	s.Stats.Recovery.TierDispatches[rr.tier]++
-	s.tel.dispatch(s.now(), entry, rr.tier)
+	tier := rr.tier()
+	s.Stats.Recovery.TierDispatches[tier]++
+	s.tel.dispatch(s.now(), entry, tier)
 	if c.fresh {
 		c.fresh = false
 		s.tel.firstDispatch(s.now() - c.installedAt)
@@ -666,14 +661,17 @@ func (s *System) runRegion(entry int, c *compiled) int {
 		snap = faultinject.Capture(s.st, s.mem)
 	}
 
-	res, injected := s.executeRegion(entry, rr.tier, c)
+	res, injected := s.executeRegion(entry, tier, c)
 
+	// rollbackCost is what a non-commit outcome costs: the region's cycles
+	// plus the abort penalty.
+	rollbackCost := c.cr.Cycles + int64(s.cfg.Machine.RollbackPenalty)
 	if res.Outcome != vliw.Commit {
 		// Every non-commit outcome rolled back (or never ran). Chaos may
 		// now model a broken restore; the invariant checker must catch
 		// either that or a genuine recovery bug.
 		if s.inj != nil && s.inj.CorruptState(s.st) {
-			s.tel.chaosInjected(s.now(), entry, rr.tier, telemetry.CauseCorrupt)
+			s.tel.chaosInjected(s.now(), entry, tier, telemetry.CauseCorrupt)
 			s.trace("injected post-rollback state corruption in B%d", entry)
 		}
 		if s.cfg.CheckInvariants {
@@ -683,6 +681,8 @@ func (s *System) runRegion(entry int, c *compiled) int {
 				return interp.HaltID
 			}
 		}
+		s.Stats.RegionCycles += c.cr.Cycles
+		s.Stats.RollbackCycles += int64(s.cfg.Machine.RollbackPenalty)
 	}
 
 	switch res.Outcome {
@@ -693,25 +693,19 @@ func (s *System) runRegion(entry int, c *compiled) int {
 		s.Stats.Commits++
 		c.failStreak = 0
 		s.healthClean()
-		s.tel.commit(s.now(), entry, rr.tier, cost, res.ARHighWater, res.StoresBuffered)
-		if rr.recordCommit(s.cfg.Recovery) {
+		s.tel.commit(s.now(), entry, tier, cost, res.ARHighWater, res.StoresBuffered)
+		if rr.Clean() {
 			s.Stats.Recovery.Promotions++
-			s.tel.tierMove(s.now(), entry, rr.tier+1, rr.tier, telemetry.CauseNone)
-			s.trace("promote B%d to %s after %d clean commits", entry, rr.tier, s.cfg.Recovery.PromoteAfter)
+			s.tel.tierMove(s.now(), entry, tier, rr.tier(), telemetry.CauseNone)
+			s.trace("promote B%d to %s after %d clean commits", entry, rr.tier(), s.cfg.Recovery.PromoteAfter)
 			// The promoted code replaces the conservative version, which
 			// stays installed (it is still correct) until the background
 			// replacement is ready.
-			if err := s.recompileRegion(entry); err != nil {
-				s.dropCode(entry)
-				s.Stats.RegionsDropped++
-				s.tel.drop(s.now(), entry, rr.tier, telemetry.CauseCompileFail)
-			}
+			s.recompileRegion(entry)
 		}
 		return res.NextBlock
 
 	case vliw.AliasException:
-		s.Stats.RegionCycles += c.cr.Cycles
-		s.Stats.RollbackCycles += int64(s.cfg.Machine.RollbackPenalty)
 		s.Stats.AliasExceptions++
 		s.exceptions[entry]++
 		s.healthRollback()
@@ -723,8 +717,7 @@ func (s *System) runRegion(entry int, c *compiled) int {
 			if res.Conflict != nil {
 				checker, origin = res.Conflict.Checker, res.Conflict.Origin
 			}
-			cost := c.cr.Cycles + int64(s.cfg.Machine.RollbackPenalty)
-			s.tel.aliasRollback(s.now(), entry, rr.tier, cause, cost, res.OpsExecuted, checker, origin)
+			s.tel.aliasRollback(s.now(), entry, tier, cause, rollbackCost, res.OpsExecuted, checker, origin)
 		}
 		// Conservative re-optimization (Figure 1). Under the ordered
 		// queue the check identifies exactly the speculated pair, so the
@@ -751,13 +744,13 @@ func (s *System) runRegion(entry int, c *compiled) int {
 					s.pinnedLoads[entry] = pins
 				}
 				if pins[res.Conflict.Origin] {
-					s.demoteToConservative(entry, rr)
+					s.demoteTo(entry, rr, TierConservative, telemetry.CausePairRepeat)
 				} else {
 					learned = true
 				}
 				pins[res.Conflict.Origin] = true
 			} else if bl[pair] {
-				s.demoteToConservative(entry, rr)
+				s.demoteTo(entry, rr, TierConservative, telemetry.CausePairRepeat)
 			} else {
 				learned = true
 			}
@@ -768,46 +761,24 @@ func (s *System) runRegion(entry int, c *compiled) int {
 		// Chronic offender: jump straight to conservative code and stop
 		// promoting (the old one-shot pin, now the ladder's hard cap).
 		if s.exceptions[entry] > s.cfg.Recovery.MaxExceptionsPerRegion &&
-			rr.tier < TierConservative {
-			before, from := rr.demotions, rr.tier
-			if rr.demoteTo(s.cfg.Recovery, TierConservative) {
-				s.Stats.Recovery.Demotions += int64(rr.demotions - before)
-				s.tel.tierMove(s.now(), entry, from, rr.tier, telemetry.CauseChronic)
-				s.trace("pin B%d conservative after %d alias exceptions", entry, s.exceptions[entry])
-			}
-			rr.sticky = true
+			rr.tier() < TierConservative {
+			s.demoteTo(entry, rr, TierConservative, telemetry.CauseChronic)
+			rr.SetSticky()
 		}
 		if learned {
 			// A fresh pair was hardened: productive learning, not a
 			// storm — only the clean-commit run resets.
-			rr.recordHardeningRollback()
-		} else if rr.recordRollback(s.cfg.Recovery) {
+			rr.Interrupt()
+		} else if rr.Fault(1) {
 			s.Stats.Recovery.Demotions++
-			s.tel.tierMove(s.now(), entry, rr.tier-1, rr.tier, telemetry.CauseRate)
-			s.trace("demote B%d to %s (rollback rate)", entry, rr.tier)
+			s.tel.tierMove(s.now(), entry, rr.tier()-1, rr.tier(), telemetry.CauseRate)
+			s.trace("demote B%d to %s (rollback rate)", entry, rr.tier())
 		}
-		if rr.tier == TierPinned {
-			s.cancelPending(entry, telemetry.CauseStale)
-			s.dropCode(entry)
-			s.trace("pin B%d to the interpreter", entry)
-		} else {
-			if s.bg != nil {
-				// The trapped code is stale (its pair is now hardened):
-				// drop it and interpret until the replacement installs.
-				s.dropCode(entry)
-			}
-			if err := s.recompileRegion(entry); err != nil {
-				s.dropCode(entry)
-				s.Stats.RegionsDropped++
-				s.tel.drop(s.now(), entry, rr.tier, telemetry.CauseCompileFail)
-			}
-		}
+		s.reoptimize(entry, rr)
 		// Make forward progress in the interpreter before re-dispatching.
 		return s.interpretOne(entry)
 
 	case vliw.GuardFail:
-		s.Stats.RegionCycles += c.cr.Cycles
-		s.Stats.RollbackCycles += int64(s.cfg.Machine.RollbackPenalty)
 		s.Stats.GuardFails++
 		c.failStreak++
 		if s.tel != nil {
@@ -815,8 +786,7 @@ func (s *System) runRegion(entry int, c *compiled) int {
 			if injected != telemetry.CauseNone {
 				cause = injected
 			}
-			cost := c.cr.Cycles + int64(s.cfg.Machine.RollbackPenalty)
-			s.tel.guardRollback(s.now(), entry, rr.tier, cause, cost, res.OpsExecuted, c.failStreak)
+			s.tel.guardRollback(s.now(), entry, tier, cause, rollbackCost, res.OpsExecuted, c.failStreak)
 		}
 		if c.failStreak >= s.cfg.MaxGuardFails {
 			// The trace no longer matches behaviour: drop it and require
@@ -827,55 +797,56 @@ func (s *System) runRegion(entry int, c *compiled) int {
 			delete(s.sbCache, entry)
 			s.disp[entry].cooldown = s.it.Prof.BlockCounts[entry] * 2
 			s.Stats.RegionsDropped++
-			s.tel.drop(s.now(), entry, rr.tier, telemetry.CauseGuard)
+			s.tel.drop(s.now(), entry, tier, telemetry.CauseGuard)
 		}
 		return s.interpretOne(entry)
 
 	default: // Fault
-		s.Stats.RegionCycles += c.cr.Cycles
-		s.Stats.RollbackCycles += int64(s.cfg.Machine.RollbackPenalty)
 		s.Stats.Faults++
 		s.healthRollback()
-		s.tel.faultRollback(s.now(), entry, rr.tier,
-			c.cr.Cycles+int64(s.cfg.Machine.RollbackPenalty), res.OpsExecuted)
+		s.tel.faultRollback(s.now(), entry, tier, rollbackCost, res.OpsExecuted)
 		// Speculation-induced faults are misspeculation too: a region
 		// whose hoisted loads keep faulting steps down the ladder until
 		// the faults stop (TierConservative hoists nothing).
-		if rr.recordRollback(s.cfg.Recovery) {
+		if rr.Fault(1) {
 			s.Stats.Recovery.Demotions++
-			s.tel.tierMove(s.now(), entry, rr.tier-1, rr.tier, telemetry.CauseFaultStorm)
-			s.trace("demote B%d to %s (fault storm)", entry, rr.tier)
-			if rr.tier == TierPinned {
-				s.cancelPending(entry, telemetry.CauseStale)
-				s.dropCode(entry)
-				s.trace("pin B%d to the interpreter", entry)
-			} else {
-				if s.bg != nil {
-					// The faulting code is built for the old rung: drop it
-					// and interpret until the demoted replacement installs.
-					s.dropCode(entry)
-				}
-				if err := s.recompileRegion(entry); err != nil {
-					s.dropCode(entry)
-					s.Stats.RegionsDropped++
-					s.tel.drop(s.now(), entry, rr.tier, telemetry.CauseCompileFail)
-				}
-			}
+			s.tel.tierMove(s.now(), entry, tier, rr.tier(), telemetry.CauseFaultStorm)
+			s.trace("demote B%d to %s (fault storm)", entry, rr.tier())
+			s.reoptimize(entry, rr)
 		}
 		return s.interpretOne(entry)
 	}
 }
 
-// demoteToConservative jumps a region to TierConservative after
-// pair-level hardening failed (a repeated blacklisted pair or re-pinned
-// ALAT load): the precise fix did not hold, so speculation as a whole is
-// wrong for this region. Re-promotion stays possible, under backoff.
-func (s *System) demoteToConservative(entry int, rr *regionRecovery) {
-	before, from := rr.demotions, rr.tier
-	if rr.demoteTo(s.cfg.Recovery, TierConservative) {
-		s.Stats.Recovery.Demotions += int64(rr.demotions - before)
-		s.tel.tierMove(s.now(), entry, from, rr.tier, telemetry.CausePairRepeat)
-		s.trace("demote B%d to %s (pair hardening failed)", entry, rr.tier)
+// reoptimize replaces a region's code after a rollback changed its
+// compile inputs (a hardened pair, a pinned load, a lower rung): a pinned
+// region leaves the code cache for the interpreter, any other recompiles.
+// The background path drops the stale code at once and interprets until
+// the replacement installs; the inline path replaces it in place.
+func (s *System) reoptimize(entry int, rr *regionRecovery) {
+	if rr.tier() == TierPinned {
+		s.cancelPending(entry, telemetry.CauseStale)
+		s.dropCode(entry)
+		s.trace("pin B%d to the interpreter", entry)
+		return
+	}
+	if s.bg != nil {
+		s.dropCode(entry)
+	}
+	s.recompileRegion(entry)
+}
+
+// demoteTo jumps a region down to at least tier t and accounts the move.
+// Pair-level hardening that failed (a repeated blacklisted pair or
+// re-pinned ALAT load, CausePairRepeat) means speculation as a whole is
+// wrong for the region; re-promotion stays possible, under backoff. The
+// chronic-offender cap (CauseChronic) additionally makes it sticky.
+func (s *System) demoteTo(entry int, rr *regionRecovery, t Tier, cause telemetry.Cause) {
+	before, from := rr.Demotions(), rr.tier()
+	if rr.demoteTo(t) {
+		s.Stats.Recovery.Demotions += int64(rr.Demotions() - before)
+		s.tel.tierMove(s.now(), entry, from, rr.tier(), cause)
+		s.trace("demote B%d to %s (%s)", entry, rr.tier(), cause)
 	}
 }
 
@@ -921,19 +892,20 @@ func (s *System) finalize() {
 		if rr == nil {
 			continue
 		}
-		rec.TierRegions[rr.tier]++
-		if rr.tier == TierPinned {
+		tier := rr.tier()
+		rec.TierRegions[tier]++
+		if tier == TierPinned {
 			rec.PinnedRegions++
 		}
-		if rr.sticky {
+		if rr.Sticky() {
 			rec.StickyRegions++
 		}
 		if idx, ok := s.regionIdx[entry]; ok {
 			rs := &s.Stats.Regions[idx]
-			rs.Tier = rr.tier
-			rs.Demotions = rr.demotions
-			rs.Promotions = rr.promotions
-			rs.Sticky = rr.sticky
+			rs.Tier = tier
+			rs.Demotions = rr.Demotions()
+			rs.Promotions = rr.Promotions()
+			rs.Sticky = rr.Sticky()
 		}
 	}
 }

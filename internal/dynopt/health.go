@@ -59,12 +59,9 @@ func (s *System) effectiveTier(entry int) Tier {
 // compile-off and below, where nothing dispatches) quiet interpreted
 // progress — and applies any promotion it earns.
 func (s *System) healthClean() {
-	if s.hc == nil {
-		return
-	}
-	if mv, ok := s.hc.RecordClean(); ok {
-		s.tel.healthMove(s.now(), mv, telemetry.CauseNone)
-		s.trace("health: %s -> %s (recovered)", mv.From, mv.To)
+	if s.hc != nil {
+		mv, ok := s.hc.RecordClean()
+		s.healthMoved(mv, ok, telemetry.CauseNone)
 	}
 }
 
@@ -72,12 +69,9 @@ func (s *System) healthClean() {
 // speculation-induced fault; guard fails are side exits, not
 // misspeculation) and applies any demotion it triggers.
 func (s *System) healthRollback() {
-	if s.hc == nil {
-		return
-	}
-	if mv, ok := s.hc.RecordRollback(); ok {
-		s.tel.healthMove(s.now(), mv, telemetry.CauseRate)
-		s.trace("health: %s -> %s (rollback rate)", mv.From, mv.To)
+	if s.hc != nil {
+		mv, ok := s.hc.RecordRollback()
+		s.healthMoved(mv, ok, telemetry.CauseRate)
 	}
 }
 
@@ -87,12 +81,17 @@ func (s *System) healthRollback() {
 func (s *System) recordHostFault(entry int, cause telemetry.Cause) {
 	s.tel.hostFault(s.now(), entry, s.tierOf(entry), cause)
 	s.trace("host fault in compile of B%d (%s)", entry, cause)
-	if s.hc == nil {
-		return
+	if s.hc != nil {
+		mv, ok := s.hc.RecordHostFault()
+		s.healthMoved(mv, ok, cause)
 	}
-	if mv, ok := s.hc.RecordHostFault(); ok {
+}
+
+// healthMoved reports a health ladder move, if one happened.
+func (s *System) healthMoved(mv health.Move, ok bool, cause telemetry.Cause) {
+	if ok {
 		s.tel.healthMove(s.now(), mv, cause)
-		s.trace("health: %s -> %s (%s)", mv.From, mv.To, cause)
+		s.trace("health: %s -> %s %s", mv.From, mv.To, cause)
 	}
 }
 

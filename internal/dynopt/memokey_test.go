@@ -1,10 +1,12 @@
 package dynopt
 
 import (
+	"reflect"
 	"testing"
 
 	"smarq/internal/alias"
 	"smarq/internal/guest"
+	"smarq/internal/workload"
 )
 
 // TestMemoKeyZeroAllocs pins content-hash key construction at zero heap
@@ -51,5 +53,40 @@ func TestMemoKeyZeroAllocs(t *testing.T) {
 	}
 	if allocs > budget {
 		t.Errorf("memoKey allocates %.1f times per call, want <= %.0f", allocs, budget)
+	}
+}
+
+// TestSharedCacheKeysMachineModel: two tenants sharing one CodeCache that
+// differ only in the machine model's memory latency must never reuse
+// each other's schedules. Each tenant's stats and guest state must match
+// its solo run, modulo the hit/miss/dedupe counters.
+func TestSharedCacheKeysMachineModel(t *testing.T) {
+	bm, _ := workload.ByName("swim")
+	type result struct {
+		stats  Stats
+		st     guest.State
+		digest uint64
+	}
+	run := func(memLat int, cache *CodeCache) result {
+		cfg := ConfigSMARQ(64)
+		cfg.Machine.MemLat = memLat
+		cfg.Compile.SharedCache = cache
+		st, mem := &guest.State{}, guest.NewMemory(bm.MemSize)
+		sys := New(bm.Build(), st, mem, cfg)
+		if halted, err := sys.Run(bm.MaxInsts); err != nil || !halted {
+			t.Fatalf("MemLat=%d: halted=%v err=%v", memLat, halted, err)
+		}
+		r := result{stats: sys.Stats, st: *st, digest: mem.Digest()}
+		r.stats.Compile.MemoHits, r.stats.Compile.MemoMisses, r.stats.Compile.DedupeWaits = 0, 0, 0
+		return r
+	}
+	shared := NewCodeCache(CodeCacheOptions{})
+	for _, memLat := range []int{3, 6} {
+		got := run(memLat, shared)
+		solo := run(memLat, NewCodeCache(CodeCacheOptions{}))
+		if !reflect.DeepEqual(got, solo) {
+			t.Errorf("MemLat=%d: shared-cache run diverges from solo\nshared: %+v\n  solo: %+v",
+				memLat, got.stats, solo.stats)
+		}
 	}
 }

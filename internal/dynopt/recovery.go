@@ -1,6 +1,10 @@
 package dynopt
 
-import "fmt"
+import (
+	"fmt"
+
+	"smarq/internal/health"
+)
 
 // Tier is one rung of the per-region speculation ladder. Regions start at
 // TierFull and the recovery controller demotes them one rung at a time
@@ -143,128 +147,41 @@ type RecoveryStats struct {
 	InvariantViolations int64
 }
 
-// regionRecovery is the per-region controller state.
+// regionRecovery is one region's speculation ladder: the shared
+// hysteresis machine (health.Ladder) with the tiers as rungs, fed one
+// observation per region entry — Clean for a commit or for an interpreted
+// entry of a pinned region (which is how a pinned region re-promotes to
+// conservative code), Fault(1) for a misspeculation rollback that taught
+// the optimizer nothing, Interrupt for one that hardened a fresh pair
+// (learning, not storming: blacklist convergence at region warmup must
+// not demote). Only the multi-rung jump, demoteTo (failed pair hardening,
+// the chronic-offender cap), is region-only.
 type regionRecovery struct {
-	tier Tier
-	// window is a ring buffer over the last Window region entries:
-	// true marks a misspeculation rollback.
-	window     []bool
-	wpos, wlen int
-	rollbacks  int // rollbacks currently inside the window
-	consec     int // consecutive rollbacks (storm detector)
-	clean      int // consecutive clean commits since the last rollback
-	backoff    int // promotion backoff multiplier (exponential)
-	sticky     bool
-	demotions  int
-	promotions int
+	health.Ladder
 }
 
 func newRegionRecovery(cfg RecoveryConfig) *regionRecovery {
-	return &regionRecovery{window: make([]bool, cfg.Window), backoff: 1}
+	return &regionRecovery{health.NewLadder(health.LadderConfig{
+		Top:             int(TierPinned),
+		Window:          cfg.Window,
+		DemoteThreshold: cfg.DemoteThreshold,
+		StormThreshold:  cfg.StormThreshold,
+		PromoteAfter:    cfg.PromoteAfter,
+		BackoffFactor:   cfg.BackoffFactor,
+		MaxBackoff:      cfg.MaxBackoff,
+	})}
 }
 
-// push records one region entry outcome in the sliding window.
-func (rr *regionRecovery) push(rollback bool) {
-	if rr.wlen == len(rr.window) {
-		if rr.window[rr.wpos] {
-			rr.rollbacks--
-		}
-	} else {
-		rr.wlen++
-	}
-	rr.window[rr.wpos] = rollback
-	if rollback {
-		rr.rollbacks++
-	}
-	rr.wpos = (rr.wpos + 1) % len(rr.window)
-}
+// tier is the region's current rung.
+func (rr *regionRecovery) tier() Tier { return Tier(rr.Rung()) }
 
-func (rr *regionRecovery) resetWindow() {
-	for i := range rr.window {
-		rr.window[i] = false
-	}
-	rr.wpos, rr.wlen, rr.rollbacks, rr.consec, rr.clean = 0, 0, 0, 0, 0
-}
-
-// recordCommit notes a clean commit and reports whether the region earned
-// a one-rung promotion.
-func (rr *regionRecovery) recordCommit(cfg RecoveryConfig) bool {
-	rr.push(false)
-	rr.consec = 0
-	rr.clean++
-	if rr.sticky || rr.tier == TierFull || rr.clean < cfg.PromoteAfter*rr.backoff {
-		return false
-	}
-	rr.tier--
-	rr.promotions++
-	rr.resetWindow()
-	return true
-}
-
-// recordHardeningRollback notes a rollback that produced new pair-level
-// hardening (a fresh blacklist entry or newly pinned load): it interrupts
-// a clean-commit run but is learning, not storming — blacklist
-// convergence bursts at region warmup must not demote — so it stays out
-// of the storm and window detectors.
-func (rr *regionRecovery) recordHardeningRollback() {
-	rr.clean = 0
-}
-
-// recordRollback notes an unproductive misspeculation rollback (one that
-// taught the optimizer nothing: a spurious exception, a repeated pair, or
-// a speculation-induced fault) and reports whether the region was demoted
-// one rung (storm or window rate).
-func (rr *regionRecovery) recordRollback(cfg RecoveryConfig) bool {
-	rr.push(true)
-	rr.consec++
-	rr.clean = 0
-	if rr.tier == TierPinned {
-		return false
-	}
-	if rr.consec < cfg.StormThreshold && rr.rollbacks < cfg.DemoteThreshold {
-		return false
-	}
-	rr.demote(cfg)
-	return true
-}
-
-// demote moves one rung down and doubles the promotion backoff; past
-// MaxBackoff the region becomes sticky.
-func (rr *regionRecovery) demote(cfg RecoveryConfig) {
-	rr.tier++
-	rr.demotions++
-	rr.resetWindow()
-	rr.backoff *= cfg.BackoffFactor
-	if rr.backoff > cfg.MaxBackoff {
-		rr.sticky = true
-	}
-}
-
-// demoteTo jumps down to at least t (the chronic-offender cap) and
-// reports whether the tier changed.
-func (rr *regionRecovery) demoteTo(cfg RecoveryConfig, t Tier) bool {
+// demoteTo jumps down to at least t (pair hardening failed, or the
+// chronic-offender cap) and reports whether the tier changed.
+func (rr *regionRecovery) demoteTo(t Tier) bool {
 	changed := false
-	for rr.tier < t {
-		rr.demote(cfg)
+	for rr.tier() < t {
+		rr.Demote()
 		changed = true
 	}
 	return changed
 }
-
-// recordPinnedEntry notes one clean interpreted execution of a pinned
-// region's entry block and reports whether the region earned re-promotion
-// back to compiled (conservative) code.
-func (rr *regionRecovery) recordPinnedEntry(cfg RecoveryConfig) bool {
-	rr.clean++
-	if rr.sticky || rr.clean < cfg.PromoteAfter*rr.backoff {
-		return false
-	}
-	rr.tier = TierConservative
-	rr.promotions++
-	rr.resetWindow()
-	return true
-}
-
-// transitions returns the total number of ladder moves this region made —
-// the livelock bound the chaos soak asserts on.
-func (rr *regionRecovery) transitions() int { return rr.demotions + rr.promotions }

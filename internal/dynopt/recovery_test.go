@@ -93,18 +93,25 @@ func TestLadderStormDemotes(t *testing.T) {
 	cfg := DefaultRecoveryConfig()
 	rr := newRegionRecovery(cfg)
 	for i := 0; i < cfg.StormThreshold-1; i++ {
-		if rr.recordRollback(cfg) {
+		if rr.Fault(1) {
 			t.Fatalf("demoted after %d rollbacks, storm threshold is %d", i+1, cfg.StormThreshold)
 		}
 	}
-	if !rr.recordRollback(cfg) {
+	if !rr.Fault(1) {
 		t.Fatal("storm threshold reached without demotion")
 	}
-	if rr.tier != TierNoStoreReorder {
-		t.Errorf("tier = %v after one demotion, want %v", rr.tier, TierNoStoreReorder)
+	if rr.tier() != TierNoStoreReorder {
+		t.Errorf("tier = %v after one demotion, want %v", rr.tier(), TierNoStoreReorder)
 	}
-	if rr.backoff != cfg.BackoffFactor {
-		t.Errorf("backoff = %d after one demotion, want %d", rr.backoff, cfg.BackoffFactor)
+	// One demotion multiplied the backoff by BackoffFactor.
+	need := cfg.PromoteAfter * cfg.BackoffFactor
+	for i := 0; i < need-1; i++ {
+		if rr.Clean() {
+			t.Fatalf("promoted after %d clean commits, want %d", i+1, need)
+		}
+	}
+	if !rr.Clean() {
+		t.Errorf("no promotion after %d clean commits", need)
 	}
 }
 
@@ -114,18 +121,18 @@ func TestLadderWindowDemotes(t *testing.T) {
 	cfg := DefaultRecoveryConfig()
 	rr := newRegionRecovery(cfg)
 	demoted := false
+	if cfg.StormThreshold < 2 {
+		t.Fatal("test invalid: a single rollback is already a storm")
+	}
 	for i := 0; i < cfg.DemoteThreshold && !demoted; i++ {
-		rr.recordCommit(cfg)
-		demoted = rr.recordRollback(cfg)
+		rr.Clean()
+		demoted = rr.Fault(1)
 	}
 	if !demoted {
 		t.Fatalf("window rate %d/%d never demoted", cfg.DemoteThreshold, 2*cfg.DemoteThreshold)
 	}
-	if rr.consec >= cfg.StormThreshold {
-		t.Fatal("test invalid: the storm detector fired, not the window")
-	}
-	if rr.tier != TierNoStoreReorder {
-		t.Errorf("tier = %v, want %v", rr.tier, TierNoStoreReorder)
+	if rr.tier() != TierNoStoreReorder {
+		t.Errorf("tier = %v, want %v", rr.tier(), TierNoStoreReorder)
 	}
 }
 
@@ -135,19 +142,26 @@ func TestHardeningRollbacksNeverDemote(t *testing.T) {
 	cfg := DefaultRecoveryConfig()
 	rr := newRegionRecovery(cfg)
 	for i := 0; i < 10*cfg.Window; i++ {
-		rr.recordHardeningRollback()
+		rr.Interrupt()
 	}
-	if rr.tier != TierFull || rr.demotions != 0 {
-		t.Errorf("tier = %v, demotions = %d after hardening rollbacks, want full/0", rr.tier, rr.demotions)
+	if rr.tier() != TierFull || rr.Demotions() != 0 {
+		t.Errorf("tier = %v, demotions = %d after hardening rollbacks, want full/0", rr.tier(), rr.Demotions())
 	}
-	// But they do interrupt a clean-commit promotion run.
-	rr.tier = TierNoElim
-	for i := 0; i < cfg.PromoteAfter-1; i++ {
-		rr.recordCommit(cfg)
+	// But they do interrupt a clean-commit promotion run: after one, the
+	// whole run starts over.
+	rr.Demote()
+	need := cfg.PromoteAfter * cfg.BackoffFactor
+	for i := 0; i < need-1; i++ {
+		rr.Clean()
 	}
-	rr.recordHardeningRollback()
-	if rr.recordCommit(cfg) {
-		t.Error("promotion run survived a hardening rollback")
+	rr.Interrupt()
+	for i := 0; i < need-1; i++ {
+		if rr.Clean() {
+			t.Fatal("promotion run survived a hardening rollback")
+		}
+	}
+	if !rr.Clean() {
+		t.Error("no promotion after a full clean run")
 	}
 }
 
@@ -155,27 +169,27 @@ func TestLadderPromotionWithBackoff(t *testing.T) {
 	cfg := DefaultRecoveryConfig()
 	rr := newRegionRecovery(cfg)
 	for i := 0; i < cfg.StormThreshold; i++ {
-		rr.recordRollback(cfg)
+		rr.Fault(1)
 	}
-	if rr.tier != TierNoStoreReorder {
-		t.Fatalf("setup: tier = %v", rr.tier)
+	if rr.tier() != TierNoStoreReorder {
+		t.Fatalf("setup: tier = %v", rr.tier())
 	}
 	// One demotion doubled the backoff: promotion needs PromoteAfter *
 	// BackoffFactor clean commits, not PromoteAfter.
 	need := cfg.PromoteAfter * cfg.BackoffFactor
 	for i := 0; i < need-1; i++ {
-		if rr.recordCommit(cfg) {
+		if rr.Clean() {
 			t.Fatalf("promoted after %d clean commits, want %d", i+1, need)
 		}
 	}
-	if !rr.recordCommit(cfg) {
+	if !rr.Clean() {
 		t.Fatalf("no promotion after %d clean commits", need)
 	}
-	if rr.tier != TierFull {
-		t.Errorf("tier = %v after promotion, want %v", rr.tier, TierFull)
+	if rr.tier() != TierFull {
+		t.Errorf("tier = %v after promotion, want %v", rr.tier(), TierFull)
 	}
-	if rr.transitions() != 2 {
-		t.Errorf("transitions = %d, want 2", rr.transitions())
+	if n := transitions(rr); n != 2 {
+		t.Errorf("transitions = %d, want 2", n)
 	}
 }
 
@@ -185,30 +199,30 @@ func TestLadderStickyBoundsTransitions(t *testing.T) {
 	// exhausts MaxBackoff and the region goes sticky forever.
 	cfg := DefaultRecoveryConfig()
 	rr := newRegionRecovery(cfg)
-	for round := 0; !rr.sticky; round++ {
+	for round := 0; !rr.Sticky(); round++ {
 		if round > maxDemotionsBound(cfg) {
-			t.Fatalf("no stickiness after %d oscillations (backoff=%d)", round, rr.backoff)
+			t.Fatalf("no stickiness after %d oscillations", round)
 		}
 		for i := 0; i < cfg.StormThreshold; i++ {
-			rr.recordRollback(cfg)
+			rr.Fault(1)
 		}
-		for i := 0; rr.tier != TierFull && !rr.sticky; i++ {
+		for i := 0; rr.tier() != TierFull && !rr.Sticky(); i++ {
 			if i > 100*cfg.PromoteAfter*cfg.MaxBackoff {
 				t.Fatal("region stuck below TierFull while promotable")
 			}
-			rr.recordCommit(cfg)
+			rr.Clean()
 		}
 	}
-	before := rr.transitions()
-	tier := rr.tier
+	before := transitions(rr)
+	tier := rr.tier()
 	for i := 0; i < 2*cfg.PromoteAfter*cfg.MaxBackoff; i++ {
-		if rr.recordCommit(cfg) || rr.recordPinnedEntry(cfg) {
+		if rr.Clean() {
 			t.Fatal("sticky region promoted")
 		}
 	}
-	if rr.transitions() != before || rr.tier != tier {
+	if transitions(rr) != before || rr.tier() != tier {
 		t.Errorf("sticky region still moved: %d -> %d transitions, tier %v -> %v",
-			before, rr.transitions(), tier, rr.tier)
+			before, transitions(rr), tier, rr.tier())
 	}
 	if before > 2*maxDemotionsBound(cfg) {
 		t.Errorf("transitions = %d exceeds the ladder bound %d", before, 2*maxDemotionsBound(cfg))
@@ -221,15 +235,19 @@ func TestLadderFloorStopsDemoting(t *testing.T) {
 	cfg := DefaultRecoveryConfig()
 	rr := newRegionRecovery(cfg)
 	for i := 0; i < 100*cfg.StormThreshold; i++ {
-		rr.recordRollback(cfg)
+		rr.Fault(1)
 	}
-	if rr.tier != TierPinned {
-		t.Fatalf("tier = %v after sustained rollbacks, want %v", rr.tier, TierPinned)
+	if rr.tier() != TierPinned {
+		t.Fatalf("tier = %v after sustained rollbacks, want %v", rr.tier(), TierPinned)
 	}
-	if rr.demotions != NumTiers-1 {
-		t.Errorf("demotions = %d walking the full ladder, want %d", rr.demotions, NumTiers-1)
+	if rr.Demotions() != NumTiers-1 {
+		t.Errorf("demotions = %d walking the full ladder, want %d", rr.Demotions(), NumTiers-1)
 	}
 }
+
+// transitions is a region's lifetime ladder moves — the livelock bound
+// the chaos soak asserts on.
+func transitions(rr *regionRecovery) int { return rr.Demotions() + rr.Promotions() }
 
 // maxDemotionsBound is the analytic ceiling on demotions per region: each
 // demotion multiplies the backoff by BackoffFactor and past MaxBackoff the
@@ -246,13 +264,13 @@ func maxDemotionsBound(cfg RecoveryConfig) int {
 func TestDemoteToJumps(t *testing.T) {
 	cfg := DefaultRecoveryConfig()
 	rr := newRegionRecovery(cfg)
-	if !rr.demoteTo(cfg, TierConservative) {
+	if !rr.demoteTo(TierConservative) {
 		t.Fatal("demoteTo reported no change from TierFull")
 	}
-	if rr.tier != TierConservative || rr.demotions != int(TierConservative) {
-		t.Errorf("tier = %v demotions = %d, want %v/%d", rr.tier, rr.demotions, TierConservative, int(TierConservative))
+	if rr.tier() != TierConservative || rr.Demotions() != int(TierConservative) {
+		t.Errorf("tier = %v demotions = %d, want %v/%d", rr.tier(), rr.Demotions(), TierConservative, int(TierConservative))
 	}
-	if rr.demoteTo(cfg, TierConservative) {
+	if rr.demoteTo(TierConservative) {
 		t.Error("demoteTo reported a change when already at the target")
 	}
 }
@@ -261,21 +279,24 @@ func TestPinnedEntryRepromotes(t *testing.T) {
 	cfg := DefaultRecoveryConfig()
 	cfg.MaxBackoff = 1 << 20 // keep the region promotable all the way down
 	rr := newRegionRecovery(cfg)
-	rr.demoteTo(cfg, TierPinned)
-	if rr.sticky {
+	rr.demoteTo(TierPinned)
+	if rr.Sticky() {
 		t.Fatal("setup: region went sticky")
 	}
-	need := cfg.PromoteAfter * rr.backoff
+	need := cfg.PromoteAfter
+	for i := 0; i < int(TierPinned); i++ {
+		need *= cfg.BackoffFactor
+	}
 	for i := 0; i < need-1; i++ {
-		if rr.recordPinnedEntry(cfg) {
+		if rr.Clean() {
 			t.Fatalf("re-promoted after %d interpreted entries, want %d", i+1, need)
 		}
 	}
-	if !rr.recordPinnedEntry(cfg) {
+	if !rr.Clean() {
 		t.Fatal("pinned region never re-promoted")
 	}
-	if rr.tier != TierConservative {
-		t.Errorf("tier = %v after un-pinning, want %v", rr.tier, TierConservative)
+	if rr.tier() != TierConservative {
+		t.Errorf("tier = %v after un-pinning, want %v", rr.tier(), TierConservative)
 	}
 }
 

@@ -246,13 +246,6 @@ func (st *systemTelemetry) compileEnqueue(cycle int64, entry int, tier Tier, cos
 		return
 	}
 	st.compileEnqueues.Add(1)
-	if memoHit {
-		st.memoHits.Add(1)
-	} else if st.memoHits != nil {
-		// Only count misses when memoization is on at all; the nil check
-		// on the hit counter is the cheapest "is it on" signal.
-		st.memoMisses.Add(1)
-	}
 	st.queueDepth.Set(int64(depth))
 	st.tr.Emit(telemetry.Event{
 		Cycle: cycle, Kind: telemetry.KindCompileEnqueue,
@@ -272,8 +265,7 @@ func (st *systemTelemetry) compileInstalled(latency int64, depth int) {
 	st.queueDepth.Set(int64(depth))
 }
 
-// memoLookup counts a content-hash memo lookup on the synchronous path
-// (the background path counts inside compileEnqueue).
+// memoLookup counts a content-hash lookup in the memo or shared cache.
 func (st *systemTelemetry) memoLookup(hit bool) {
 	if st == nil {
 		return
@@ -327,8 +319,9 @@ func (st *systemTelemetry) firstDispatch(lag int64) {
 	st.installLag.Observe(lag)
 }
 
-// dedupeWaited records how long a deduped background compile sat behind
-// the cross-tenant flight that produced its code.
+// dedupeWaited records how long a deduped compile sat behind the
+// cross-tenant flight that produced its code (0 on the inline path, which
+// waits at one simulated instant).
 func (st *systemTelemetry) dedupeWaited(wait int64) {
 	if st == nil {
 		return
@@ -426,66 +419,47 @@ func (st *systemTelemetry) tierMove(cycle int64, entry int, from, to Tier, cause
 	})
 }
 
-func (st *systemTelemetry) evict(cycle int64, entry int, tier Tier) {
-	if st == nil {
-		return
-	}
-	st.evictions.Add(1)
+// regionEvent counts and emits one region-scoped event.
+func (st *systemTelemetry) regionEvent(c *telemetry.Counter, kind telemetry.Kind, cycle int64, entry int, tier Tier, cause telemetry.Cause) {
+	c.Add(1)
 	st.tr.Emit(telemetry.Event{
-		Cycle: cycle, Kind: telemetry.KindEvict,
+		Cycle: cycle, Kind: kind,
 		Region: int32(entry), Tier: int8(tier), To: -1,
+		Cause: cause,
 	})
+}
+
+func (st *systemTelemetry) evict(cycle int64, entry int, tier Tier) {
+	if st != nil {
+		st.regionEvent(st.evictions, telemetry.KindEvict, cycle, entry, tier, telemetry.CauseNone)
+	}
 }
 
 func (st *systemTelemetry) drop(cycle int64, entry int, tier Tier, cause telemetry.Cause) {
-	if st == nil {
-		return
+	if st != nil {
+		st.regionEvent(st.drops, telemetry.KindDrop, cycle, entry, tier, cause)
 	}
-	st.drops.Add(1)
-	st.tr.Emit(telemetry.Event{
-		Cycle: cycle, Kind: telemetry.KindDrop,
-		Region: int32(entry), Tier: int8(tier), To: -1,
-		Cause: cause,
-	})
 }
 
 func (st *systemTelemetry) chaosInjected(cycle int64, entry int, tier Tier, cause telemetry.Cause) {
-	if st == nil {
-		return
+	if st != nil {
+		st.regionEvent(st.chaos, telemetry.KindChaos, cycle, entry, tier, cause)
 	}
-	st.chaos.Add(1)
-	st.tr.Emit(telemetry.Event{
-		Cycle: cycle, Kind: telemetry.KindChaos,
-		Region: int32(entry), Tier: int8(tier), To: -1,
-		Cause: cause,
-	})
 }
 
 // hostFault records one contained host-side compile fault (worker panic,
 // watchdog kill, rejected poisoned result).
 func (st *systemTelemetry) hostFault(cycle int64, entry int, tier Tier, cause telemetry.Cause) {
-	if st == nil {
-		return
+	if st != nil {
+		st.regionEvent(st.hostFaults, telemetry.KindHostFault, cycle, entry, tier, cause)
 	}
-	st.hostFaults.Add(1)
-	st.tr.Emit(telemetry.Event{
-		Cycle: cycle, Kind: telemetry.KindHostFault,
-		Region: int32(entry), Tier: int8(tier), To: -1,
-		Cause: cause,
-	})
 }
 
 // quarantine records a region being permanently barred from compiling.
 func (st *systemTelemetry) quarantine(cycle int64, entry int, tier Tier, cause telemetry.Cause) {
-	if st == nil {
-		return
+	if st != nil {
+		st.regionEvent(st.quarantines, telemetry.KindQuarantine, cycle, entry, tier, cause)
 	}
-	st.quarantines.Add(1)
-	st.tr.Emit(telemetry.Event{
-		Cycle: cycle, Kind: telemetry.KindQuarantine,
-		Region: int32(entry), Tier: int8(tier), To: -1,
-		Cause: cause,
-	})
 }
 
 // healthMove records one global degradation-ladder transition. The

@@ -1,6 +1,6 @@
-// Package health is the system-scope graceful-degradation controller: it
-// does for the whole dynamic optimization system what the per-region
-// recovery ladder (internal/dynopt/recovery.go) does for one region.
+// Package health holds the system's one hysteresis ladder (Ladder,
+// ladder.go) and its system-scope user, the graceful-degradation
+// Controller. dynopt's per-region speculation ladder is the other user.
 //
 // The controller watches a sliding window of system events — host faults
 // (compile-worker panics, watchdog kills, rejected poisoned results) and
@@ -13,7 +13,7 @@
 // (interpreter-only execution), then admission (regions that become hot
 // while quarantined are permanently barred from compiling). Re-promotion
 // needs a sustained run of clean observations, scaled by an exponential
-// backoff that doubles on every demotion — the hysteresis that keeps a
+// backoff that grows on every demotion — the hysteresis that keeps a
 // flapping host from oscillating — and past MaxBackoff the controller
 // goes sticky and never promotes again.
 //
@@ -148,76 +148,55 @@ type Move struct {
 	From, To Level
 }
 
-// Controller is the sliding-window health state machine. Not safe for
-// concurrent use; the simulation thread owns it.
+// Controller is the system health ladder: a Ladder over the Levels, fed
+// host faults (weight HostFaultWeight), rollbacks (weight 1) and clean
+// observations, with no storm detector. Not safe for concurrent use; the
+// simulation thread owns it.
 type Controller struct {
-	cfg   Config
-	level Level
-	// window is a ring of observation weights (0 clean, 1 rollback,
-	// HostFaultWeight host fault); score is their sum.
-	window     []int
-	wpos, wlen int
-	score      int
-	clean      int // consecutive clean observations
-	backoff    int
-	sticky     bool
-	stats      Stats
+	ladder          Ladder
+	hostFaultWeight int
+	stats           Stats
 }
 
 // New returns a controller at Normal. cfg must be Enabled and Valid.
 func New(cfg Config) *Controller {
-	return &Controller{cfg: cfg, window: make([]int, cfg.Window), backoff: 1}
+	return &Controller{
+		ladder: NewLadder(LadderConfig{
+			Top:             int(Quarantine),
+			Window:          cfg.Window,
+			DemoteThreshold: cfg.DemoteThreshold,
+			PromoteAfter:    cfg.PromoteAfter,
+			BackoffFactor:   cfg.BackoffFactor,
+			MaxBackoff:      cfg.MaxBackoff,
+		}),
+		hostFaultWeight: cfg.HostFaultWeight,
+	}
 }
 
 // Level returns the current degradation level.
-func (c *Controller) Level() Level { return c.level }
+func (c *Controller) Level() Level { return Level(c.ladder.Rung()) }
 
 // Sticky reports whether the promotion backoff is exhausted.
-func (c *Controller) Sticky() bool { return c.sticky }
+func (c *Controller) Sticky() bool { return c.ladder.Sticky() }
 
 // Stats returns the accounting with the end-of-run fields filled.
 func (c *Controller) Stats() Stats {
 	st := c.stats
-	st.FinalLevel = c.level
-	st.Sticky = c.sticky
+	st.Demotions = int64(c.ladder.Demotions())
+	st.Promotions = int64(c.ladder.Promotions())
+	st.FinalLevel = c.Level()
+	st.Sticky = c.Sticky()
 	return st
 }
 
-// push slides one observation weight into the window.
-func (c *Controller) push(weight int) {
-	if c.wlen == len(c.window) {
-		c.score -= c.window[c.wpos]
-	} else {
-		c.wlen++
-	}
-	c.window[c.wpos] = weight
-	c.score += weight
-	c.wpos = (c.wpos + 1) % len(c.window)
-}
-
-func (c *Controller) resetWindow() {
-	for i := range c.window {
-		c.window[i] = 0
-	}
-	c.wpos, c.wlen, c.score, c.clean = 0, 0, 0, 0
-}
-
-// demoteIfDue walks one level down when the window score crossed the
-// threshold, doubling the promotion backoff (sticky past MaxBackoff).
-func (c *Controller) demoteIfDue() (Move, bool) {
-	if c.score < c.cfg.DemoteThreshold || c.level == Quarantine {
+// moved reports the ladder step just taken from level from, if any.
+func (c *Controller) moved(from Level, ok bool) (Move, bool) {
+	if !ok {
 		return Move{}, false
 	}
-	from := c.level
-	c.level++
-	c.stats.Demotions++
-	c.stats.LevelEntries[c.level]++
-	c.resetWindow()
-	c.backoff *= c.cfg.BackoffFactor
-	if c.backoff > c.cfg.MaxBackoff {
-		c.sticky = true
-	}
-	return Move{From: from, To: c.level}, true
+	to := c.Level()
+	c.stats.LevelEntries[to]++
+	return Move{From: from, To: to}, true
 }
 
 // RecordClean feeds one clean observation (a committed dispatch, or — at
@@ -226,26 +205,16 @@ func (c *Controller) demoteIfDue() (Move, bool) {
 // backoff consecutive cleans, unless sticky.
 func (c *Controller) RecordClean() (Move, bool) {
 	c.stats.Cleans++
-	c.push(0)
-	c.clean++
-	if c.sticky || c.level == Normal || c.clean < c.cfg.PromoteAfter*c.backoff {
-		return Move{}, false
-	}
-	from := c.level
-	c.level--
-	c.stats.Promotions++
-	c.stats.LevelEntries[c.level]++
-	c.resetWindow()
-	return Move{From: from, To: c.level}, true
+	from := c.Level()
+	return c.moved(from, c.ladder.Clean())
 }
 
 // RecordRollback feeds one misspeculation rollback (weight 1) and reports
 // a demotion if the window score crossed the threshold.
 func (c *Controller) RecordRollback() (Move, bool) {
 	c.stats.Rollbacks++
-	c.push(1)
-	c.clean = 0
-	return c.demoteIfDue()
+	from := c.Level()
+	return c.moved(from, c.ladder.Fault(1))
 }
 
 // RecordHostFault feeds one host fault — a worker panic, watchdog kill or
@@ -253,7 +222,6 @@ func (c *Controller) RecordRollback() (Move, bool) {
 // demotion if due.
 func (c *Controller) RecordHostFault() (Move, bool) {
 	c.stats.HostFaults++
-	c.push(c.cfg.HostFaultWeight)
-	c.clean = 0
-	return c.demoteIfDue()
+	from := c.Level()
+	return c.moved(from, c.ladder.Fault(c.hostFaultWeight))
 }
