@@ -436,7 +436,8 @@ func BenchmarkRegionExecution(b *testing.B) {
 }
 
 // BenchmarkExecute runs the same region entry under every alias-hardware
-// fast path of the devirtualized execute loop.
+// model the execute loop resolves, including an ordered queue whose size
+// is not a power of two.
 func BenchmarkExecute(b *testing.B) {
 	cases := []struct {
 		name string
@@ -445,6 +446,7 @@ func BenchmarkExecute(b *testing.B) {
 		det  func() aliashw.Detector
 	}{
 		{"ordered64", sched.HWOrdered, 64, func() aliashw.Detector { return aliashw.NewOrderedQueue(64) }},
+		{"ordered6", sched.HWOrdered, 6, func() aliashw.Detector { return aliashw.NewOrderedQueue(6) }},
 		{"alat", sched.HWALAT, 64, func() aliashw.Detector { return aliashw.NewALAT() }},
 		{"bitmask15", sched.HWBitmask, 15, func() aliashw.Detector { return aliashw.NewBitmask(15) }},
 		{"none", sched.HWNone, 64, func() aliashw.Detector { return aliashw.None{} }},

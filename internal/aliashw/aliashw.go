@@ -4,7 +4,10 @@
 // null detector.
 package aliashw
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Conflict reports a detected alias: the op that performed the check and
 // the op whose alias register it conflicted with (the "origin" travels
@@ -39,55 +42,114 @@ type Detector interface {
 	Name() string
 }
 
+// entry is one alias register's recorded access. Whether it is live is
+// kept outside the entry (a bitset in OrderedQueue and Bitmask; the ALAT
+// keeps only live entries), so an entry is never cleared, only marked
+// dead.
 type entry struct {
-	valid   bool
-	lo, hi  uint64
-	byStore bool
-	origin  int
-	order   int
+	lo, hi uint64
+	origin int
+	order  int
 }
 
 func overlaps(aLo, aHi, bLo, bHi uint64) bool { return aLo < bHi && bLo < aHi }
+
+// boxed turns an OnMemV result into OnMem's: nil without a conflict, else
+// a fresh *Conflict. Only a hit allocates, so a caller going through the
+// Detector interface pays nothing on the no-conflict path.
+func boxed(conf Conflict, hit bool) *Conflict {
+	if !hit {
+		return nil
+	}
+	c := conf
+	return &c
+}
 
 // OrderedQueue is the order-based alias register queue of §2.4/§3: N
 // physical registers organized as a circular queue with a rotating BASE.
 // [ORDERED-ALIAS-DETECTION-RULE]: an executing op with the C bit checks
 // every valid register whose order is not earlier than its own assigned
 // order; loads do not check registers set by loads.
+//
+// Register validity and the set-by-store flag are two bitsets indexed by
+// physical slot, one representation for every N. A check visits only the
+// live registers of its window, found with count-trailing-zeros scans
+// over at most two wrapped word ranges, and Reset and Rotate clear bits
+// rather than entries. A slot's entry is meaningful only while its valid
+// bit is set, and every write of a valid bit also writes the slot's
+// byStore bit.
 type OrderedQueue struct {
-	regs []entry
-	base int
+	// blocks holds the register file 64 slots at a time, each block with
+	// its word of both bitsets: physical register s is
+	// blocks[s>>6].regs[s&63]. Keeping the bitsets beside the registers
+	// makes the whole file one allocation.
+	blocks []regBlock
+	n      int
+	// base is the absolute order at BASE and pbase its physical slot,
+	// base mod N, kept in [0,N) by conditional subtraction.
+	base, pbase int
 	// top is an exclusive upper bound, relative to base, on the order of
 	// any valid in-window register: every valid entry e with
-	// e.order >= base satisfies e.order < base+top. A check scan can
-	// therefore stop at top instead of walking the whole file — scanning
-	// beyond it would only visit empty or stale slots, which contribute
-	// neither conflicts nor Checked() counts, so the early exit is
-	// invisible in the simulated statistics.
+	// e.order >= base satisfies e.order < base+top, and top <= N. A check
+	// scan therefore stops at top instead of walking the whole file —
+	// scanning beyond it would only visit empty or stale slots, which
+	// contribute neither conflicts nor Checked() counts, so the early exit
+	// is invisible in the simulated statistics.
 	top     int
 	checked uint64
 }
 
+// regBlock is 64 consecutive physical registers and their bitset words:
+// bit i of valid says register i is live, bit i of byStore that a store
+// set it.
+type regBlock struct {
+	valid, byStore uint64
+	regs           [64]entry
+}
+
 // NewOrderedQueue returns a queue with n physical alias registers.
 func NewOrderedQueue(n int) *OrderedQueue {
-	return &OrderedQueue{regs: make([]entry, n)}
+	return &OrderedQueue{blocks: make([]regBlock, (n+63)/64), n: n}
 }
 
 // Name implements Detector.
-func (q *OrderedQueue) Name() string { return fmt.Sprintf("ordered-%d", len(q.regs)) }
+func (q *OrderedQueue) Name() string { return fmt.Sprintf("ordered-%d", q.n) }
 
 // NumRegs returns the physical register count.
-func (q *OrderedQueue) NumRegs() int { return len(q.regs) }
+func (q *OrderedQueue) NumRegs() int { return q.n }
 
-func (q *OrderedQueue) slot(order int) *entry { return &q.regs[order%len(q.regs)] }
+// slot maps an offset relative to BASE to its physical register. An
+// in-window offset (< N) needs one conditional subtract; only an
+// out-of-window AMov operand pays for a modulo.
+func (q *OrderedQueue) slot(offset int) int {
+	if offset < 0 {
+		panic(fmt.Sprintf("aliashw: negative alias register offset %d", offset))
+	}
+	s := q.pbase + offset
+	if n := q.n; s >= n {
+		s -= n
+		if s >= n {
+			s %= n
+		}
+	}
+	return s
+}
+
+// put makes physical register s live with contents e.
+func (q *OrderedQueue) put(s int, e entry, byStore bool) {
+	blk, b := &q.blocks[s>>6], uint64(1)<<(s&63)
+	blk.regs[s&63] = e
+	blk.valid |= b
+	if byStore {
+		blk.byStore |= b
+	} else {
+		blk.byStore &^= b
+	}
+}
 
 // OnMem implements Detector.
 func (q *OrderedQueue) OnMem(opID int, isStore, p, c bool, offset int, _ uint16, lo, hi uint64) *Conflict {
-	conf, hit := q.OnMemV(opID, isStore, p, c, offset, lo, hi)
-	if !hit {
-		return nil
-	}
-	return &conf
+	return boxed(q.OnMemV(opID, isStore, p, c, offset, lo, hi))
 }
 
 // OnMemV is OnMem with the conflict returned by value: the no-conflict
@@ -95,38 +157,36 @@ func (q *OrderedQueue) OnMem(opID int, isStore, p, c bool, offset int, _ uint16,
 // caller holding the concrete *OrderedQueue skips the interface dispatch
 // entirely. The boolean reports whether a conflict was detected.
 func (q *OrderedQueue) OnMemV(opID int, isStore, p, c bool, offset int, lo, hi uint64) (Conflict, bool) {
-	if (p || c) && (offset < 0 || offset >= len(q.regs)) {
-		panic(fmt.Sprintf("aliashw: op %d uses offset %d with %d registers", opID, offset, len(q.regs)))
+	n := q.n
+	if (p || c) && uint(offset) >= uint(n) {
+		panic(fmt.Sprintf("aliashw: op %d uses offset %d with %d registers", opID, offset, n))
 	}
 	if c && offset < q.top {
-		// Walk physical slots incrementally (one modulo before the loop,
-		// none inside) and stop at top, past which no valid in-window
-		// register can live.
-		n := len(q.regs)
-		s := (q.base + offset) % n
-		for k := offset; k < q.top; k++ {
-			e := &q.regs[s]
-			s++
-			if s == n {
-				s = 0
+		// The window [offset, top) lies at physical slots
+		// [pbase+offset, pbase+top), which wrap past N at most once. A
+		// live register at slot s sits at its scan position only if its
+		// order is s+delta: s - pbase + base, plus N past the wrap.
+		from, to := q.pbase+offset, q.pbase+q.top
+		delta := q.base - q.pbase
+		if from >= n {
+			from, to, delta = from-n, to-n, delta+n
+		}
+		if to > n {
+			if conf, hit := q.scan(opID, isStore, from, n, delta, lo, hi); hit {
+				return conf, true
 			}
-			if !e.valid || e.order != q.base+k {
-				continue
-			}
-			if !isStore && !e.byStore {
-				continue // loads do not check loads
-			}
-			q.checked++
-			if overlaps(lo, hi, e.lo, e.hi) {
-				return Conflict{Checker: opID, Origin: e.origin}, true
-			}
+			from, to, delta = 0, to-n, delta+n
+		}
+		if conf, hit := q.scan(opID, isStore, from, to, delta, lo, hi); hit {
+			return conf, true
 		}
 	}
 	if p {
-		*q.slot(q.base + offset) = entry{
-			valid: true, lo: lo, hi: hi, byStore: isStore,
-			origin: opID, order: q.base + offset,
+		s := q.pbase + offset
+		if s >= n {
+			s -= n
 		}
+		q.put(s, entry{lo: lo, hi: hi, origin: opID, order: q.base + offset}, isStore)
 		if offset+1 > q.top {
 			q.top = offset + 1
 		}
@@ -134,11 +194,68 @@ func (q *OrderedQueue) OnMemV(opID int, isStore, p, c bool, offset int, lo, hi u
 	return Conflict{}, false
 }
 
+// scan checks the live registers at physical slots [from, to) in
+// ascending order, counting each one the rule compares and returning the
+// first that overlaps [lo, hi). A load skips load-set registers; a slot
+// whose order is not s+delta holds an out-of-window AMov target and is
+// skipped as well.
+func (q *OrderedQueue) scan(opID int, isStore bool, from, to, delta int, lo, hi uint64) (Conflict, bool) {
+	below := uint64(1)<<uint(from&63) - 1 // bits under from in its first word
+	for w := from >> 6; w<<6 < to; w++ {
+		blk := &q.blocks[w]
+		m := blk.valid &^ below
+		below = 0
+		if !isStore {
+			m &= blk.byStore
+		}
+		if rest := to - w<<6; rest < 64 {
+			m &= uint64(1)<<uint(rest) - 1
+		}
+		for ; m != 0; m &= m - 1 {
+			b := bits.TrailingZeros64(m)
+			e := &blk.regs[b]
+			if e.order != (w<<6|b)+delta {
+				continue
+			}
+			q.checked++
+			if overlaps(lo, hi, e.lo, e.hi) {
+				return Conflict{Checker: opID, Origin: e.origin}, true
+			}
+		}
+	}
+	return Conflict{}, false
+}
+
+// clearValid marks physical registers [from, to) dead.
+func (q *OrderedQueue) clearValid(from, to int) {
+	for from < to {
+		w := from >> 6
+		end := min(to-w<<6, 64)
+		q.blocks[w].valid &^= ^uint64(0) >> uint(64-end) &^ (uint64(1)<<uint(from&63) - 1)
+		from = (w + 1) << 6
+	}
+}
+
 // Rotate implements Detector: the first n registers of the window are
 // cleared and become free registers at the end of the queue (§3.2).
 func (q *OrderedQueue) Rotate(n int) {
-	for i := 0; i < n && i < len(q.regs); i++ {
-		*q.slot(q.base + i) = entry{}
+	if n < 0 {
+		panic(fmt.Sprintf("aliashw: negative rotation %d", n))
+	}
+	size := q.n
+	switch end := q.pbase + n; {
+	case n >= size:
+		q.clearValid(0, size)
+		if size > 0 {
+			q.pbase = end % size
+		}
+	case end < size:
+		q.clearValid(q.pbase, end)
+		q.pbase = end
+	default: // the cleared run wraps past slot N-1
+		q.clearValid(q.pbase, size)
+		q.clearValid(0, end-size)
+		q.pbase = end - size
 	}
 	q.base += n
 	// Orders are fixed at set time, so advancing BASE shifts every live
@@ -152,31 +269,32 @@ func (q *OrderedQueue) Rotate(n int) {
 // AMov implements Detector (§3.3): the access range at offset src moves to
 // offset dst; src==dst only cleans up.
 func (q *OrderedQueue) AMov(src, dst int) {
-	se := q.slot(q.base + src)
-	e := *se
-	*se = entry{}
-	if src == dst || !e.valid {
+	s := q.slot(src)
+	blk, b := &q.blocks[s>>6], uint64(1)<<(s&63)
+	live, byStore := blk.valid&b != 0, blk.byStore&b != 0
+	blk.valid &^= b
+	if src == dst || !live {
 		return
 	}
+	e := blk.regs[s&63]
 	e.order = q.base + dst
-	*q.slot(q.base + dst) = e
+	q.put(q.slot(dst), e, byStore)
 	if dst+1 > q.top {
 		q.top = dst + 1
 	}
-	if q.top > len(q.regs) {
+	if q.top > q.n {
 		// An out-of-window dst wraps physically but its order can never
 		// match a scan position, exactly as before the top bound existed.
-		q.top = len(q.regs)
+		q.top = q.n
 	}
 }
 
-// Reset implements Detector.
+// Reset implements Detector: it clears the valid bitset, N/64 words.
 func (q *OrderedQueue) Reset() {
-	for i := range q.regs {
-		q.regs[i] = entry{}
+	for i := range q.blocks {
+		q.blocks[i].valid = 0
 	}
-	q.base = 0
-	q.top = 0
+	q.base, q.pbase, q.top = 0, 0, 0
 }
 
 // Base exposes the BASE pointer for tests.
@@ -203,11 +321,7 @@ func (a *ALAT) Name() string { return "alat" }
 
 // OnMem implements Detector.
 func (a *ALAT) OnMem(opID int, isStore, p, c bool, offset int, _ uint16, lo, hi uint64) *Conflict {
-	conf, hit := a.OnMemV(opID, isStore, p, c, lo, hi)
-	if !hit {
-		return nil
-	}
-	return &conf
+	return boxed(a.OnMemV(opID, isStore, p, c, lo, hi))
 }
 
 // OnMemV is the allocation-free concrete-type form of OnMem (see
@@ -223,7 +337,7 @@ func (a *ALAT) OnMemV(opID int, isStore, p, _ bool, lo, hi uint64) (Conflict, bo
 		return Conflict{}, false
 	}
 	if p {
-		a.entries = append(a.entries, entry{valid: true, lo: lo, hi: hi, origin: opID})
+		a.entries = append(a.entries, entry{lo: lo, hi: hi, origin: opID})
 	}
 	return Conflict{}, false
 }

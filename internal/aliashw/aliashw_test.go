@@ -288,3 +288,28 @@ func TestCheckedCounters(t *testing.T) {
 		t.Error("None detector counted checks")
 	}
 }
+
+// TestOnMemNoConflictZeroAllocs: through the Detector interface, a check
+// or set that finds no conflict allocates nothing on every model, and a
+// conflict still comes back as its own value. The executor's generic
+// memory path relies on this.
+func TestOnMemNoConflictZeroAllocs(t *testing.T) {
+	for _, det := range []Detector{NewOrderedQueue(8), NewALAT(), NewBitmask(15), None{}} {
+		det.OnMem(1, false, true, false, 0, 0, 100, 108) // a P load sets register 0
+		allocs := testing.AllocsPerRun(100, func() {
+			if c := det.OnMem(2, true, false, true, 0, 1, 200, 208); c != nil {
+				t.Fatalf("%s: unexpected conflict %+v", det.Name(), *c)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s: no-conflict OnMem allocates %v times, want 0", det.Name(), allocs)
+		}
+		if _, ok := det.(None); ok {
+			continue
+		}
+		c := det.OnMem(3, true, false, true, 0, 1, 104, 112)
+		if c == nil || c.Checker != 3 || c.Origin != 1 {
+			t.Errorf("%s: conflict = %v, want checker 3 origin 1", det.Name(), c)
+		}
+	}
+}

@@ -81,10 +81,46 @@ func (r *Region) Finished() bool { return r.st == nil || r.finished }
 // Store performs a speculative store: the old bytes are logged, then the
 // new value is written through. On a finished region it writes nothing
 // and returns ErrFinished.
+//
+// The supported widths go through the fixed-size accessors over the
+// memory's backing slice; a faulting store logs nothing, and its error —
+// like that of an unsupported width — comes from the width-generic
+// accessors.
 func (r *Region) Store(addr uint64, size int, val uint64) error {
 	if r.Finished() {
 		return ErrFinished
 	}
+	data := r.mem.Bytes()
+	var old uint64
+	ok := false
+	switch size {
+	case 8:
+		if old, ok = guest.MemLoad8(data, addr); ok {
+			guest.MemStore8(data, addr, val)
+		}
+	case 4:
+		if old, ok = guest.MemLoad4(data, addr); ok {
+			guest.MemStore4(data, addr, val)
+		}
+	case 2:
+		if old, ok = guest.MemLoad2(data, addr); ok {
+			guest.MemStore2(data, addr, val)
+		}
+	case 1:
+		if old, ok = guest.MemLoad1(data, addr); ok {
+			guest.MemStore1(data, addr, val)
+		}
+	}
+	if !ok {
+		return r.storeSlow(addr, size, val)
+	}
+	r.undo = append(r.undo, undoRec{addr: addr, size: size, old: old})
+	return nil
+}
+
+// storeSlow is Store through the width-generic accessors: it reports the
+// exact fault of an out-of-range access or an unsupported width.
+func (r *Region) storeSlow(addr uint64, size int, val uint64) error {
 	old, err := r.mem.Load(addr, size)
 	if err != nil {
 		return err

@@ -611,10 +611,12 @@ func (s *System) drawHostFaults(entry int, withHang bool) (panicInject, hang boo
 // screenOutput is the pure half of admission, in order: a recovered
 // worker panic or the pipeline's own error, then the poisoned-result
 // screen — the content checksum recomputed against the worker's stamp,
-// and the structural invariants for corruption that predates the stamp.
-// A shared-cache leader screens before publishing, so a failed or
-// poisoned result never enters the shared table.
-func screenOutput(entry int, out *compileOutput) error {
+// and the structural invariants for corruption that predates the stamp,
+// including, for an ordered queue of queueRegs registers (0 for other
+// hardware), every alias-register offset. A shared-cache leader screens
+// before publishing, so a failed or poisoned result never enters the
+// shared table.
+func screenOutput(entry int, out *compileOutput, queueRegs int) error {
 	if out.err != nil {
 		return out.err
 	}
@@ -623,6 +625,11 @@ func screenOutput(entry int, out *compileOutput) error {
 	}
 	if verr := out.cr.Validate(); verr != nil {
 		return fmt.Errorf("%w: B%d structural invariants: %v", errPoisonedResult, entry, verr)
+	}
+	if queueRegs > 0 {
+		if verr := out.cr.ValidateQueue(queueRegs); verr != nil {
+			return fmt.Errorf("%w: B%d structural invariants: %v", errPoisonedResult, entry, verr)
+		}
 	}
 	return nil
 }
@@ -634,7 +641,7 @@ func screenOutput(entry int, out *compileOutput) error {
 // and never dispatched. Memo hits were admitted when first stored, so
 // re-admitting them is a pure double-check.
 func (s *System) admitOutput(entry int, out *compileOutput) error {
-	err := screenOutput(entry, out)
+	err := screenOutput(entry, out, s.cfg.queueRegs())
 	switch {
 	case out.panicked:
 		s.Stats.Compile.WorkerPanics++
@@ -824,20 +831,20 @@ func (s *System) runFresh(p *pendingCompile, in *compileInput) {
 	case bg == nil:
 		p.out = runCompileJob(in, panicInject, poison)
 		if p.flight != nil {
-			s.shared.cache.Complete(p.key, p.flight, p.out, screenOutput(p.entry, p.out) == nil)
+			s.shared.cache.Complete(p.key, p.flight, p.out, screenOutput(p.entry, p.out, s.cfg.queueRegs()) == nil)
 		}
 	default:
 		if bg.pool == nil {
 			bg.pool = compilequeue.NewPool(s.cfg.Compile.Workers)
 		}
-		job, flight, key, shared := p, p.flight, p.key, s.shared
+		job, flight, key, shared, queueRegs := p, p.flight, p.key, s.shared, s.cfg.queueRegs()
 		if flight == nil {
 			p.done = make(chan struct{})
 		}
 		bg.pool.Submit(func() {
 			out := runCompileJob(in, panicInject, poison)
 			if flight != nil {
-				shared.cache.Complete(key, flight, out, screenOutput(in.entry, out) == nil)
+				shared.cache.Complete(key, flight, out, screenOutput(in.entry, out, queueRegs) == nil)
 				return
 			}
 			job.out = out

@@ -144,6 +144,15 @@ func (c Config) Validate() error {
 	return c.Chaos.Validate()
 }
 
+// queueRegs is the ordered alias queue's register count, or 0 when the
+// hardware is not an ordered queue.
+func (c Config) queueRegs() int {
+	if c.Mode != sched.HWOrdered {
+		return 0
+	}
+	return c.NumAliasRegs
+}
+
 // mustValid backs the preset constructors: they only assemble constants,
 // so a failure is a programming error.
 func mustValid(c Config) Config {

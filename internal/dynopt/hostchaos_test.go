@@ -2,6 +2,7 @@ package dynopt
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"reflect"
 	"testing"
@@ -9,6 +10,7 @@ import (
 	"smarq/internal/faultinject"
 	"smarq/internal/guest"
 	"smarq/internal/health"
+	"smarq/internal/ir"
 )
 
 // smallHealthConfig is tuned so the controller actually moves within a
@@ -163,6 +165,75 @@ func TestWatchdogKillsHungCompiles(t *testing.T) {
 	if cs.WatchdogKills != sys.Stats.Injected.CompileHangs {
 		t.Errorf("injector hung %d compiles, watchdog killed %d",
 			sys.Stats.Injected.CompileHangs, cs.WatchdogKills)
+	}
+}
+
+// TestInstallRefusesBadAliasOperands: a compile result whose alias
+// operands the queue cannot honour — an AMOV with a negative source, or a
+// P op past the ordered queue's last register — carries a consistent
+// checksum, so only the structural screen stands between it and the
+// queue. admitOutput must refuse it (counted as rejected) and leave the
+// installed code alone, so it is never dispatched.
+func TestInstallRefusesBadAliasOperands(t *testing.T) {
+	const nar = 8
+	s := New(sumLoopProgram(3000), &guest.State{}, guest.NewMemory(1<<16), ConfigSMARQ(nar))
+	if _, err := s.Run(200_000); err != nil {
+		t.Fatal(err)
+	}
+	entry := -1
+	for e := range s.disp {
+		if s.disp[e].code != nil {
+			entry = e
+			break
+		}
+	}
+	if entry < 0 {
+		t.Fatal("no region compiled")
+	}
+	in, err := s.newCompileInput(entry)
+	if err != nil {
+		t.Fatal(err)
+	}
+	good := runCompileJob(in, false, faultinject.PoisonNone)
+	if err := s.admitOutput(entry, good); err != nil {
+		t.Fatalf("well-formed result refused: %v", err)
+	}
+	cr := good.cr
+	corrupt := func(edit func(seq []*ir.Op) []*ir.Op) *compileOutput {
+		seq := edit(append([]*ir.Op(nil), cr.Seq...))
+		out := *good
+		out.cr = s.cfg.Machine.Compile(seq, cr.Region, cr.GuestInsts)
+		out.checksum = out.cr.Checksum()
+		return &out
+	}
+	bad := map[string]*compileOutput{
+		"amov-src-negative": corrupt(func(seq []*ir.Op) []*ir.Op {
+			return append(seq, &ir.Op{ID: len(seq), Kind: ir.AMov, Dst: ir.NoVReg, AROffset: -1, SrcOff: -1})
+		}),
+		"offset-past-queue": corrupt(func(seq []*ir.Op) []*ir.Op {
+			for i, o := range seq {
+				if o.IsMem() {
+					c := *o
+					c.P, c.AROffset = true, nar
+					seq[i] = &c
+					break
+				}
+			}
+			return seq
+		}),
+	}
+	installed := s.disp[entry].code
+	for name, out := range bad {
+		rejected := s.Stats.Compile.Rejected
+		if err := s.admitOutput(entry, out); !errors.Is(err, errPoisonedResult) {
+			t.Errorf("%s: admitOutput = %v, want a poisoned-result refusal", name, err)
+		}
+		if s.Stats.Compile.Rejected != rejected+1 {
+			t.Errorf("%s: Rejected went %d -> %d, want +1", name, rejected, s.Stats.Compile.Rejected)
+		}
+		if s.disp[entry].code != installed {
+			t.Errorf("%s: refused result replaced the installed code", name)
+		}
 	}
 }
 

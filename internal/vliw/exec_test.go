@@ -36,21 +36,24 @@ func TestExecuteZeroAllocsOnCommit(t *testing.T) {
 		b.Halt()
 	}
 	cr, _ := compileGuest(t, 0, sched.HWOrdered, build)
-	st := &guest.State{}
-	mem := guest.NewMemory(4096)
-	det := aliashw.NewOrderedQueue(64)
-	var ctx vliw.ExecContext
+	// The ordered queue's direct path, and the generic memory path every
+	// op of an unknown Detector takes.
+	for _, det := range []aliashw.Detector{aliashw.NewOrderedQueue(64), opaqueDetector{aliashw.NewOrderedQueue(64)}} {
+		st := &guest.State{}
+		mem := guest.NewMemory(4096)
+		var ctx vliw.ExecContext
 
-	if res := ctx.Execute(cr, st, mem, det); res.Outcome != vliw.Commit {
-		t.Fatalf("warm-up outcome = %s, want commit", res.Outcome)
-	}
-	allocs := testing.AllocsPerRun(100, func() {
 		if res := ctx.Execute(cr, st, mem, det); res.Outcome != vliw.Commit {
-			t.Fatalf("outcome = %s, want commit", res.Outcome)
+			t.Fatalf("%T: warm-up outcome = %s, want commit", det, res.Outcome)
 		}
-	})
-	if allocs != 0 {
-		t.Errorf("steady-state commit path allocates %v times per entry, want 0", allocs)
+		allocs := testing.AllocsPerRun(100, func() {
+			if res := ctx.Execute(cr, st, mem, det); res.Outcome != vliw.Commit {
+				t.Fatalf("%T: outcome = %s, want commit", det, res.Outcome)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%T: steady-state commit path allocates %v times per entry, want 0", det, allocs)
+		}
 	}
 }
 
@@ -101,9 +104,9 @@ func randomRegionProgram(rng *rand.Rand) (*guest.Program, int) {
 }
 
 // fuzzCompile runs the full compilation pipeline at seedBlock for the
-// given hardware mode, mirroring compileGuest but returning errors so the
-// fuzz loop can skip unformable regions.
-func fuzzCompile(prog *guest.Program, seedBlock int, mode sched.HWMode) (*vliw.CompiledRegion, error) {
+// given hardware mode and alias register count, mirroring compileGuest
+// but returning errors so the fuzz loop can skip unformable regions.
+func fuzzCompile(prog *guest.Program, seedBlock int, mode sched.HWMode, nar int) (*vliw.CompiledRegion, error) {
 	it := interp.New(prog, &guest.State{}, guest.NewMemory(1<<13))
 	if _, err := it.Run(0, 200_000); err != nil {
 		return nil, err
@@ -124,10 +127,6 @@ func fuzzCompile(prog *guest.Program, seedBlock int, mode sched.HWMode) (*vliw.C
 	optRes := opt.Run(reg, tbl, optCfg)
 	ds := deps.Compute(reg, tbl)
 	opt.AddExtendedDeps(ds, reg, tbl, optRes)
-	nar := 64
-	if mode == sched.HWBitmask {
-		nar = 15
-	}
 	sc, err := sched.Run(reg, tbl, ds, sched.Config{
 		Mode: mode, NumAliasRegs: nar, StoreReorder: true,
 		PressureMargin: 4, Machine: vliw.DefaultConfig(),
@@ -168,12 +167,34 @@ func fillMem(mem *guest.Memory, seed int64) {
 	}
 }
 
+// highWaterOf is the ARHighWater the reference executor leaves unset:
+// the highest register (+1) a P-bit memory op claimed among the ops the
+// execution reached, the aborting op included.
+func highWaterOf(cr *vliw.CompiledRegion, res vliw.ExecResult) int {
+	reached := cr.Seq
+	if res.Outcome != vliw.Commit {
+		reached = cr.Seq[:res.OpsExecuted+1]
+	}
+	hw := 0
+	for _, o := range reached {
+		if o.IsMem() && o.P && o.AROffset+1 > hw {
+			hw = o.AROffset + 1
+		}
+	}
+	return hw
+}
+
+// opaqueDetector hides a detector's concrete type from the engine.
+type opaqueDetector struct{ aliashw.Detector }
+
 // TestExecuteDecodedMatchesReference is the differential test between the
-// pre-decoded pooled engine (ExecContext.Execute) and the original
+// lowered pooled engine (ExecContext.Execute) and the original
 // ir.Op-walking executor (executeRef): on random compiled programs across
-// all hardware modes and randomized entry states, both engines must agree
-// op-for-op — outcome, next block, conflict identity, ops executed, final
-// registers, memory contents, and the detector's Checked() energy proxy.
+// all hardware modes — the ordered queue at a power-of-two, a small
+// non-power-of-two and a multiword size — and randomized entry states,
+// both engines must agree op-for-op: outcome, next block, conflict
+// identity, ops executed, final registers, memory contents, and the
+// detector's Checked() energy proxy.
 func TestExecuteDecodedMatchesReference(t *testing.T) {
 	trials := 25
 	if testing.Short() {
@@ -182,12 +203,18 @@ func TestExecuteDecodedMatchesReference(t *testing.T) {
 	modes := []struct {
 		name string
 		mode sched.HWMode
+		nar  int
 		det  func() aliashw.Detector
 	}{
-		{"ordered64", sched.HWOrdered, func() aliashw.Detector { return aliashw.NewOrderedQueue(64) }},
-		{"alat", sched.HWALAT, func() aliashw.Detector { return aliashw.NewALAT() }},
-		{"bitmask15", sched.HWBitmask, func() aliashw.Detector { return aliashw.NewBitmask(15) }},
-		{"none", sched.HWNone, func() aliashw.Detector { return aliashw.None{} }},
+		{"ordered64", sched.HWOrdered, 64, func() aliashw.Detector { return aliashw.NewOrderedQueue(64) }},
+		{"ordered6", sched.HWOrdered, 6, func() aliashw.Detector { return aliashw.NewOrderedQueue(6) }},
+		{"ordered96", sched.HWOrdered, 96, func() aliashw.Detector { return aliashw.NewOrderedQueue(96) }},
+		{"alat", sched.HWALAT, 64, func() aliashw.Detector { return aliashw.NewALAT() }},
+		{"bitmask15", sched.HWBitmask, 15, func() aliashw.Detector { return aliashw.NewBitmask(15) }},
+		{"none", sched.HWNone, 64, func() aliashw.Detector { return aliashw.None{} }},
+		// A Detector the engine does not know takes the generic memory
+		// path for every op.
+		{"ordered64-generic", sched.HWOrdered, 64, func() aliashw.Detector { return opaqueDetector{aliashw.NewOrderedQueue(64)} }},
 	}
 	// One persistent context across every trial, mode, and entry:
 	// exercises pooling hygiene (stale vregs, undo log, checkpoint reuse).
@@ -199,7 +226,7 @@ func TestExecuteDecodedMatchesReference(t *testing.T) {
 		for _, m := range modes {
 			// Rebuild the program per mode: translation annotates it.
 			prog, loop := randomRegionProgram(rand.New(rand.NewSource(seed)))
-			cr, err := fuzzCompile(prog, loop, m.mode)
+			cr, err := fuzzCompile(prog, loop, m.mode, m.nar)
 			if err != nil {
 				t.Logf("trial %d/%s: skip (compile: %v)", trial, m.name, err)
 				continue
@@ -248,6 +275,10 @@ func TestExecuteDecodedMatchesReference(t *testing.T) {
 				if detDec.Checked() != detRef.Checked() {
 					t.Fatalf("trial %d/%s entry %d: Checked() = %d, reference %d",
 						trial, id(), entry, detDec.Checked(), detRef.Checked())
+				}
+				if want := highWaterOf(cr, resDec); resDec.ARHighWater != want {
+					t.Fatalf("trial %d/%s entry %d: ARHighWater = %d, want %d",
+						trial, id(), entry, resDec.ARHighWater, want)
 				}
 			}
 		}

@@ -60,7 +60,7 @@ type ExecResult struct {
 
 // CompiledRegion is an installed translation: the scheduled sequence, its
 // source region, the precomputed static cycle cost of one complete
-// execution, and the pre-decoded flat op stream the executor consumes.
+// execution, and the lowered flat op stream the executor consumes.
 type CompiledRegion struct {
 	Seq    []*ir.Op
 	Region *ir.Region
@@ -69,21 +69,24 @@ type CompiledRegion struct {
 	// GuestInsts is the number of guest instructions a committed
 	// execution retires.
 	GuestInsts int
-	// dec is Seq pre-decoded into a flat array of value structs so the
+	// dec is Seq lowered into a flat array of value structs so the
 	// execute loop walks contiguous memory instead of chasing *ir.Op
-	// pointers (see exec.go).
+	// pointers (see exec.go); hw is its committed ARHighWater.
 	dec []decOp
+	hw  int
 }
 
 // Compile packages a scheduled sequence for execution, computing its
-// static cycle cost and pre-decoding the op stream.
+// static cycle cost and lowering the op stream.
 func (c Config) Compile(seq []*ir.Op, reg *ir.Region, guestInsts int) *CompiledRegion {
+	dec := lower(seq, reg)
 	return &CompiledRegion{
 		Seq:        seq,
 		Region:     reg,
 		Cycles:     c.CycleCount(seq, reg.NumVRegs),
 		GuestInsts: guestInsts,
-		dec:        decode(seq),
+		dec:        dec,
+		hw:         highWater(dec),
 	}
 }
 
@@ -137,7 +140,7 @@ type vregFile struct {
 }
 
 // executeRef is the original *ir.Op-walking executor, kept verbatim as
-// the reference semantics for the pre-decoded engine in exec.go: the
+// the reference semantics for the lowered engine in exec.go: the
 // differential tests drive both on the same programs and require
 // bit-identical outcomes. It allocates per entry (vreg files, checkpoint,
 // undo log); the production path is ExecContext.Execute.

@@ -94,11 +94,13 @@ func (cr *CompiledRegion) Checksum() uint64 {
 
 // Validate checks the structural invariants a dispatchable compile result
 // must satisfy: the schedule is non-empty and consistent with its
-// pre-decoded form, op counts bound each other (a schedule only ever adds
+// lowered form, op counts bound each other (a schedule only ever adds
 // allocator ops to the region's), every vreg the live-out maps and the
-// scheduled ops name is in range, and the cycle cost is positive. It is
-// the second validation layer behind Checksum — corruption that predates
-// the checksum stamp must fail here.
+// scheduled ops name is in range, every memory access is 1, 2, 4 or 8
+// bytes wide, no alias-register operand is negative, and the cycle cost
+// is positive. It is the second validation layer
+// behind Checksum — corruption that predates the checksum stamp must fail
+// here.
 func (cr *CompiledRegion) Validate() error {
 	reg := cr.Region
 	if reg == nil {
@@ -107,8 +109,8 @@ func (cr *CompiledRegion) Validate() error {
 	if len(cr.Seq) == 0 {
 		return fmt.Errorf("vliw: empty schedule")
 	}
-	if len(cr.dec) != len(cr.Seq) {
-		return fmt.Errorf("vliw: %d decoded ops for %d scheduled", len(cr.dec), len(cr.Seq))
+	if len(cr.dec) < len(cr.Seq) {
+		return fmt.Errorf("vliw: %d lowered ops for %d scheduled", len(cr.dec), len(cr.Seq))
 	}
 	if len(cr.Seq) < len(reg.Ops) {
 		// Scheduling never deletes ops; eliminations rewrite them in
@@ -140,6 +142,21 @@ func (cr *CompiledRegion) Validate() error {
 		if o.IsMem() && o.Mem == nil {
 			return fmt.Errorf("vliw: schedule slot %d: memory op without MemInfo", i)
 		}
+		if o.IsMem() && o.Mem.Size != 1 && o.Mem.Size != 2 && o.Mem.Size != 4 && o.Mem.Size != 8 {
+			return fmt.Errorf("vliw: schedule slot %d: %d-byte memory access", i, o.Mem.Size)
+		}
+		// Alias operands the detector indexes with. A C-only op may carry
+		// -1 (the bit-mask hardware names its registers in ARMask), but
+		// a P op always claims a register.
+		if o.IsMem() && o.P && o.AROffset < 0 {
+			return fmt.Errorf("vliw: schedule slot %d: P op with alias register offset %d", i, o.AROffset)
+		}
+		if o.Kind == ir.AMov && (o.SrcOff < 0 || o.DstOff < 0) {
+			return fmt.Errorf("vliw: schedule slot %d: AMOV offsets %d->%d", i, o.SrcOff, o.DstOff)
+		}
+		if o.Kind == ir.Rotate && o.Amount < 0 {
+			return fmt.Errorf("vliw: schedule slot %d: negative rotation %d", i, o.Amount)
+		}
 	}
 	for r := 0; r < guest.NumRegs; r++ {
 		if v := reg.IntOut[r]; v < 0 || int(v) >= reg.NumVRegs {
@@ -147,6 +164,25 @@ func (cr *CompiledRegion) Validate() error {
 		}
 		if v := reg.FloatOut[r]; v < 0 || int(v) >= reg.NumVRegs {
 			return fmt.Errorf("vliw: live-out float f%d maps to v%d out of range", r, v)
+		}
+	}
+	return nil
+}
+
+// ValidateQueue checks a region compiled for an n-register ordered alias
+// queue: every memory op with a P or C bit, and both operands of every
+// AMOV, name a register offset in [0, n). The queue refuses any other
+// memory-op offset at execution time, and the allocator never emits an
+// AMOV outside the window, so a result that fails here must not be
+// installed.
+func (cr *CompiledRegion) ValidateQueue(n int) error {
+	in := func(off int) bool { return off >= 0 && off < n }
+	for i, o := range cr.Seq {
+		if o.IsMem() && (o.P || o.C) && !in(o.AROffset) {
+			return fmt.Errorf("vliw: schedule slot %d: alias register offset %d outside a %d-register queue", i, o.AROffset, n)
+		}
+		if o.Kind == ir.AMov && (!in(o.SrcOff) || !in(o.DstOff)) {
+			return fmt.Errorf("vliw: schedule slot %d: AMOV offsets %d->%d outside a %d-register queue", i, o.SrcOff, o.DstOff, n)
 		}
 	}
 	return nil
