@@ -98,13 +98,15 @@ else
 endif
 
 # Short differential fuzz of the dynopt pipeline, of the decoded
-# interpreter engine and of the ordered alias queue against its spec model
-# (seed corpora also run under plain `go test`). Go allows one -fuzz
-# pattern per invocation, hence one command each.
+# interpreter engine and of the ordered alias queue against its spec model,
+# plus the guest image decoder (seed corpora also run under plain
+# `go test`). Go allows one -fuzz pattern per invocation, hence one
+# command each.
 fuzz-smoke:
 	$(GO) test -run='^FuzzDynopt$$' -fuzz='^FuzzDynopt$$' -fuzztime=10s ./internal/dynopt
 	$(GO) test -run='^FuzzInterpDecoded$$' -fuzz='^FuzzInterpDecoded$$' -fuzztime=10s ./internal/interp
 	$(GO) test -run='^FuzzOrderedQueueSpec$$' -fuzz='^FuzzOrderedQueueSpec$$' -fuzztime=10s ./internal/aliashw
+	$(GO) test -run='^FuzzDecodeProgram$$' -fuzz='^FuzzDecodeProgram$$' -fuzztime=10s ./internal/guest
 
 # Chaos gate: the seeded fault-injection soak (spurious alias exceptions,
 # guard-fail storms, compile failures, and the host fault classes: worker

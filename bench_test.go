@@ -318,7 +318,8 @@ func BenchmarkTranslatePipeline(b *testing.B) {
 // alias analysis, eliminations, dependences, scheduling with alias
 // register allocation, VLIW baking and the working-set statistics — over
 // the hottest ammp superblock, with region formation excluded (production
-// caches superblocks per entry). This is the per-compile cost the
+// caches superblocks per entry). Like production compiles, it reuses one
+// value per stage across iterations. This is the per-compile cost the
 // flat-arena pipeline targets; BenchmarkCompile above measures the same
 // machinery embedded in a full system run.
 func BenchmarkCompilePipeline(b *testing.B) {
@@ -341,29 +342,32 @@ func BenchmarkCompilePipeline(b *testing.B) {
 		Mode: sched.HWOrdered, NumAliasRegs: 64, StoreReorder: true,
 		PressureMargin: 4, Machine: machine,
 	}
-	arena := ir.NewArena()
+	var (
+		arena  ir.Arena
+		xl     xlate.Translator
+		tbl    alias.Table
+		optRes opt.Result
+		ds     deps.Set
+		scr    sched.Scratch
+	)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		reg, err := xlate.TranslateArena(sb, arena)
+		reg, err := xl.Translate(sb, &arena)
 		if err != nil {
 			b.Fatal(err)
 		}
-		tbl := alias.BuildTable(reg, nil)
-		optRes := opt.Run(reg, tbl, opt.Config{LoadElim: true, StoreElim: true, Speculative: true})
-		ds := deps.Compute(reg, tbl)
-		opt.AddExtendedDeps(ds, reg, tbl, optRes)
-		sc, err := sched.Run(reg, tbl, ds, scfg)
+		tbl.Build(reg, nil)
+		optRes.Run(reg, &tbl, opt.Config{LoadElim: true, StoreElim: true, Speculative: true})
+		ds.Compute(reg, &tbl)
+		opt.AddExtendedDeps(&ds, reg, &tbl, &optRes)
+		sc, err := scr.Run(reg, &tbl, &ds, scfg)
 		if err != nil {
 			b.Fatal(err)
 		}
 		fseq, freg := ir.Freeze(sc.Seq, reg)
 		cr := machine.Compile(fseq, freg, len(sb.Insts))
-		ws := core.MeasureWorkingSets(sc.Alloc, sb.NumMemOps())
-		tbl.Release()
-		ds.Release()
-		optRes.Release()
-		sc.Release()
+		ws := scr.WorkingSets(sc, sb.NumMemOps())
 		arena.Reset()
 		if cr.Cycles == 0 || ws.SMARQ == 0 {
 			b.Fatal("degenerate compile")

@@ -11,7 +11,6 @@ package alias
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"smarq/internal/ir"
 )
@@ -91,12 +90,13 @@ func MakePair(x, y int) Pair {
 // re-optimization would re-speculate forever.
 // Table storage is dense: op IDs index flat slices (the compile pipeline
 // queries Rel O(memops²) times, so the per-probe cost must be a couple of
-// array loads, not hash lookups), and tables recycle through a pool so
-// steady-state compilation allocates nothing here.
+// array loads, not hash lookups), and Build refills a table in place, so
+// a reused table allocates nothing once its storage reaches the region
+// size.
 type Table struct {
 	mems  []*ir.MemInfo // indexed by op ID; nil for non-memory ops
 	class []int32       // indexed by op ID; -1 for non-memory ops
-	bad   map[Pair]bool // blacklisted class pairs (small, pooled+cleared)
+	bad   map[Pair]bool // blacklisted class pairs (small, cleared per Build)
 	keys  map[classKey]int32
 }
 
@@ -110,18 +110,25 @@ type classKey struct {
 	abs  bool
 }
 
-var tablePool = sync.Pool{New: func() interface{} {
-	return &Table{bad: make(map[Pair]bool), keys: make(map[classKey]int32)}
-}}
-
-// BuildTable classifies the region's memory operations and applies the
-// blacklist. The table comes from an internal pool; callers on the hot
-// compile path hand it back with Release once the compilation is done.
+// BuildTable classifies the region's memory operations into a new table
+// and applies the blacklist (see Table.Build).
 func BuildTable(reg *ir.Region, bl Blacklist) *Table {
-	t := tablePool.Get().(*Table)
+	t := new(Table)
+	t.Build(reg, bl)
+	return t
+}
+
+// Build classifies the region's memory operations and applies the
+// blacklist, replacing the table's previous contents and reusing its
+// storage. The zero Table is ready to Build.
+func (t *Table) Build(reg *ir.Region, bl Blacklist) {
 	n := len(reg.Ops)
 	t.mems = resizeMems(t.mems, n)
 	t.class = resizeClasses(t.class, n)
+	if t.keys == nil {
+		t.bad = make(map[Pair]bool)
+		t.keys = make(map[classKey]int32)
+	}
 	clear(t.bad)
 	clear(t.keys)
 	for _, o := range reg.Ops {
@@ -146,16 +153,10 @@ func BuildTable(reg *ir.Region, bl Blacklist) *Table {
 			t.bad[MakePair(ca, cb)] = true
 		}
 	}
-	return t
 }
 
-// Release returns the table to the pool. The caller must not use it (or
-// anything still holding it) afterwards.
-func (t *Table) Release() {
-	if t != nil {
-		tablePool.Put(t)
-	}
-}
+// Release does nothing; it stays only so existing callers keep compiling.
+func (t *Table) Release() {}
 
 func resizeMems(s []*ir.MemInfo, n int) []*ir.MemInfo {
 	if cap(s) < n {

@@ -13,14 +13,13 @@
 //
 // Storage is slice-indexed adjacency (node IDs are dense region op IDs
 // plus a few pseudo IDs), and graphs are reusable: Reset clears a graph
-// without freeing its adjacency storage, and Get/Put recycle graphs
-// through a pool so steady-state compilation allocates nothing here.
+// without freeing its adjacency storage. The allocator embeds one graph
+// and resets it per region, so a warm allocator allocates nothing here.
 package constraint
 
 import (
 	"fmt"
 	"sort"
-	"sync"
 )
 
 // Kind distinguishes the two constraint types.
@@ -70,25 +69,6 @@ type Graph struct {
 
 // New returns an empty constraint graph.
 func New() *Graph { return &Graph{} }
-
-// pool recycles graphs across compilations (the compile path runs on
-// worker goroutines, so the pool must be concurrency-safe).
-var pool = sync.Pool{New: func() interface{} { return New() }}
-
-// Get returns a cleared graph from the pool with storage for at least
-// sizeHint nodes.
-func Get(sizeHint int) *Graph {
-	g := pool.Get().(*Graph)
-	g.Reset(sizeHint)
-	return g
-}
-
-// Put returns a graph to the pool. The caller must not use it afterwards.
-func Put(g *Graph) {
-	if g != nil {
-		pool.Put(g)
-	}
-}
 
 // Reset clears the graph for a new region while keeping its allocated
 // storage, growing it to cover at least sizeHint nodes.

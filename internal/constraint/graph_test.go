@@ -300,11 +300,12 @@ func TestRejectedAntiLeavesGraphUsable(t *testing.T) {
 	}
 }
 
-// TestPooledGraphIsClean verifies Get returns a graph with no residue from
-// the previous user: stale T values, adjacency, or counters from a larger
-// earlier region must not resurface.
+// TestPooledGraphIsClean verifies Reset leaves a reused graph with no
+// residue from the previous region: stale T values, adjacency, or
+// counters from a larger earlier region must not resurface.
 func TestPooledGraphIsClean(t *testing.T) {
-	g := Get(8)
+	g := New()
+	g.Reset(8)
 	for i := 0; i < 8; i++ {
 		g.SetT(i, i)
 	}
@@ -312,9 +313,9 @@ func TestPooledGraphIsClean(t *testing.T) {
 	if ok := g.TryAddAnti(1, 2); !ok {
 		t.Fatal("anti rejected on acyclic graph")
 	}
-	Put(g)
 
-	g2 := Get(4)
+	g2 := g
+	g2.Reset(4)
 	if g2.NumCheck != 0 || g2.NumAnti != 0 {
 		t.Fatalf("recycled graph has counters %d/%d", g2.NumCheck, g2.NumAnti)
 	}
@@ -329,16 +330,16 @@ func TestPooledGraphIsClean(t *testing.T) {
 	if g2.InDegree(6) != 0 {
 		t.Fatal("recycled graph has stale in-degree")
 	}
-	Put(g2)
 }
 
-// TestGraphReuseAllocs pins the steady-state allocation count of the
-// pooled graph: once the adjacency storage has grown to the working size,
-// a full add/traverse/remove cycle must not allocate.
+// TestGraphReuseAllocs pins the steady-state allocation count of a reused
+// graph: once the adjacency storage has grown to the working size, a full
+// reset/add/traverse cycle must not allocate.
 func TestGraphReuseAllocs(t *testing.T) {
 	const nodes = 64
+	g := New()
 	work := func() {
-		g := Get(nodes)
+		g.Reset(nodes)
 		for i := 0; i < nodes; i++ {
 			g.SetT(i, i)
 		}
@@ -353,11 +354,10 @@ func TestGraphReuseAllocs(t *testing.T) {
 		for i := 0; i < nodes; i++ {
 			g.InDegree(i)
 		}
-		Put(g)
 	}
-	work() // warm the pool to working size
+	work() // grow the storage to working size
 	allocs := testing.AllocsPerRun(50, work)
 	if allocs > 0 {
-		t.Errorf("pooled graph reuse allocates %.1f times per compile, want 0", allocs)
+		t.Errorf("graph reuse allocates %.1f times per compile, want 0", allocs)
 	}
 }

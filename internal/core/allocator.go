@@ -24,15 +24,15 @@
 // scheduled, so unscheduled ops never have incoming edges.
 //
 // Per-op state lives in dense slices indexed by op ID (region ops first,
-// AMOV/rotate pseudo IDs after), and the constraint graph is pooled, so a
-// compilation's allocator cost is a handful of slice allocations rather
-// than per-op map traffic.
+// AMOV/rotate pseudo IDs after). The allocator owns its constraint graph
+// and its Result, and Reset refills all of it in place, so a reused
+// allocator's per-region cost is the AMOV and rotate ops it emits rather
+// than per-op map and slice traffic.
 package core
 
 import (
 	"fmt"
 	"slices"
-	"sync"
 
 	"smarq/internal/constraint"
 	"smarq/internal/deps"
@@ -74,41 +74,20 @@ func (r *Result) Allocated(id int) bool {
 	return id >= 0 && id < len(r.Order) && r.Order[id] >= 0
 }
 
-// resultPool recycles Results (and, through them, the sequence, order,
-// base and constraint storage) across compiles.
-var resultPool = sync.Pool{New: func() interface{} { return new(Result) }}
-
-// Release hands the Result's storage back for reuse by a later
-// allocation. The caller must be done with every view into it, including
-// Seq; hot paths (the compile pipeline) call it once the schedule has
-// been frozen and measured.
-func (r *Result) Release() {
-	for i := range r.Seq {
-		r.Seq[i] = nil
-	}
-	r.Seq = r.Seq[:0]
-	r.Order = r.Order[:0]
-	r.Base = r.Base[:0]
-	r.Checks = r.Checks[:0]
-	r.Antis = r.Antis[:0]
-	r.Stats = Stats{}
-	resultPool.Put(r)
-}
-
 type amovInfo struct {
 	op        *ir.Op
 	srcID     int  // the op whose register this AMOV reads
 	hasTarget bool // false for the cleanup form
 }
 
-// Allocator performs integrated alias register allocation. Create one per
-// region, call Schedule for every op in the scheduler's chosen order, then
-// Finish (after which the allocator must not be reused — Finish returns
-// its pooled constraint graph and recycles the allocator itself).
+// Allocator performs integrated alias register allocation. Reset (or
+// NewAllocator) prepares it for a region; call Schedule for every op in
+// the scheduler's chosen order, then Finish. Reset may start the next
+// region on the same allocator, which invalidates the previous Result.
 type Allocator struct {
 	ds      *deps.Set
 	numRegs int
-	g       *constraint.Graph
+	g       constraint.Graph
 	opts    Options
 
 	// Dense per-op state, indexed by op ID (pseudo IDs grow the slices).
@@ -130,7 +109,7 @@ type Allocator struct {
 	nextOrder   int
 	// ready holds allocatable ops keyed by arrival sequence number: a
 	// CLZ-bitmap queue whose PopMin is exactly the drain FIFO of
-	// Figure 13, with O(1) selection and a pooled backing.
+	// Figure 13, with O(1) selection and a reused backing.
 	ready    readyq.Queue
 	readySeq int
 	// emit accumulates one Schedule call's output; the returned slice is
@@ -152,29 +131,25 @@ type Allocator struct {
 	nextPseudo int
 	overflow   bool
 	seq        []*ir.Op
-	res        *Result // pooled; receives seq and the dense views at Finish
+	res        Result // receives seq and the dense views at Finish
 	stats      Stats
 }
 
-var allocPool = sync.Pool{New: func() interface{} {
-	return &Allocator{
-		rangeChecked: make(map[[2]int]bool),
-		liveChecks:   make(map[[2]int]bool),
-	}
-}}
-
 // NewAllocator creates an allocator for a region with numOps real ops, the
-// given dependences, and numRegs physical alias registers. Every real op's
-// T is initialized to its original program order (op ID). Allocators
-// recycle through an internal pool (Finish returns them); only the
-// sequence and constraint listings that escape into the Result are
-// allocated fresh per region.
+// given dependences, and numRegs physical alias registers.
 func NewAllocator(numOps int, ds *deps.Set, numRegs int) *Allocator {
-	a := allocPool.Get().(*Allocator)
+	return NewAllocatorOpts(numOps, ds, numRegs, Options{})
+}
+
+// Reset prepares the allocator for a region with numOps real ops, the
+// given dependences, numRegs physical alias registers and the ablation
+// options, reusing all of its storage. Every real op's T is initialized
+// to its original program order (op ID).
+func (a *Allocator) Reset(numOps int, ds *deps.Set, numRegs int, opts Options) {
 	a.ds = ds
 	a.numRegs = numRegs
-	a.opts = Options{}
-	a.g = constraint.Get(numOps)
+	a.opts = opts
+	a.g.Reset(numOps)
 	a.scheduled = resetBools(a.scheduled, numOps)
 	a.allocated = resetBools(a.allocated, numOps)
 	a.pBit = resetBools(a.pBit, numOps)
@@ -189,15 +164,19 @@ func NewAllocator(numOps int, ds *deps.Set, numRegs int) *Allocator {
 	a.ready.Reset(numOps+1, numOps+1)
 	a.readySeq = 0
 	a.emit = a.emit[:0]
+	if a.rangeChecked == nil {
+		a.rangeChecked = make(map[[2]int]bool)
+		a.liveChecks = make(map[[2]int]bool)
+	}
 	clear(a.rangeChecked)
 	clear(a.liveChecks)
-	a.res = resultPool.Get().(*Result)
 	a.liveAntis = a.res.Antis[:0]
 	a.movedTo = resetInt32s(a.movedTo, numOps, -1)
 	a.amovs = a.amovs[:0]
 	a.numOps = numOps
 	a.nextPseudo = numOps
 	a.overflow = false
+	clear(a.res.Seq) // drop the previous region's ops
 	if cap(a.res.Seq) < numOps+8 {
 		a.res.Seq = make([]*ir.Op, 0, numOps+8)
 	}
@@ -206,7 +185,6 @@ func NewAllocator(numOps int, ds *deps.Set, numRegs int) *Allocator {
 	for i := 0; i < numOps; i++ {
 		a.g.SetT(i, i)
 	}
-	return a
 }
 
 func resetBools(s []bool, n int) []bool {
@@ -501,8 +479,9 @@ func (a *Allocator) pendingCount() int {
 
 // Finish completes the allocation: every op must have been scheduled. It
 // patches AROffset/P/C onto memory ops and SrcOff/DstOff onto AMOVs, and
-// returns the result. An error is returned when an offset overflowed the
-// physical register file — the caller must re-optimize less aggressively.
+// returns the result, which lives in the allocator until its next Reset.
+// An error is returned when an offset overflowed the physical register
+// file — the caller must re-optimize less aggressively.
 func (a *Allocator) Finish() (*Result, error) {
 	if n := a.pendingCount() + a.ready.Len(); n != 0 {
 		return nil, fmt.Errorf("core: %d ops still pending at Finish (constraint cycle not broken?)", n)
@@ -532,7 +511,7 @@ func (a *Allocator) Finish() (*Result, error) {
 		}
 	}
 	ws := 0
-	res := a.res
+	res := &a.res
 	order := resizeInts(res.Order, len(a.scheduled))
 	base := resizeInts(res.Base, len(a.scheduled))
 	for id := range a.scheduled {
@@ -568,24 +547,8 @@ func (a *Allocator) Finish() (*Result, error) {
 		return x[1] - y[1]
 	})
 	res.Antis = a.liveAntis
-	overflow, numRegs := a.overflow, a.numRegs
-	// The constraint graph is pooled; it holds no state the Result needs.
-	constraint.Put(a.g)
-	a.g = nil
-	// The allocator itself recycles too. Everything the Result references
-	// (seq, antis and the dense order/base/checks) lives in the Result,
-	// which recycles separately through its own Release, so allocator
-	// reuse cannot clobber it.
-	a.ds = nil
-	a.seq = nil
-	a.liveAntis = nil
-	a.res = nil
-	for i := range a.amovs {
-		a.amovs[i].op = nil
-	}
-	allocPool.Put(a)
-	if overflow {
-		return res, fmt.Errorf("core: alias register overflow (working set %d > %d registers)", ws, numRegs)
+	if a.overflow {
+		return res, fmt.Errorf("core: alias register overflow (working set %d > %d registers)", ws, a.numRegs)
 	}
 	return res, nil
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sync"
 
 	"smarq/internal/deps"
 	"smarq/internal/ir"
@@ -45,31 +44,42 @@ type WorkingSets struct {
 // MeasureWorkingSets derives all four Figure 17 statistics from a finished
 // allocation and the region's memory operation count.
 func MeasureWorkingSets(res *Result, memOps int) WorkingSets {
-	return WorkingSets{
-		ProgramOrder: memOps,
-		PBitOnly:     res.Stats.PBits,
-		SMARQ:        res.Stats.WorkingSet,
-		LowerBound:   LowerBound(res),
-	}
+	return new(LowerBoundScratch).MeasureWorkingSets(res, memOps)
 }
 
-// lbScratch holds LowerBound's per-call working storage; pooled so the
-// per-compile measurement allocates nothing once warm.
-type lbScratch struct {
+// LowerBound computes the live-range lower bound of §6.2 (see
+// LowerBoundScratch.LowerBound).
+func LowerBound(res *Result) int {
+	return new(LowerBoundScratch).LowerBound(res)
+}
+
+// LowerBoundScratch is the working storage of the lower-bound
+// measurement. The zero value is ready; a reused scratch allocates
+// nothing once its buffers reach the region size.
+type LowerBoundScratch struct {
 	pos    []int32 // op ID -> sequence position, -1 absent
 	start  []int32 // checkee ID -> live-range start position, -1 no range
 	end    []int32
 	deltas []int32 // sequence position -> net live-range delta
 }
 
-var lbPool = sync.Pool{New: func() interface{} { return new(lbScratch) }}
+// MeasureWorkingSets is the package-level MeasureWorkingSets over s's
+// storage.
+func (s *LowerBoundScratch) MeasureWorkingSets(res *Result, memOps int) WorkingSets {
+	return WorkingSets{
+		ProgramOrder: memOps,
+		PBitOnly:     res.Stats.PBits,
+		SMARQ:        res.Stats.WorkingSet,
+		LowerBound:   s.LowerBound(res),
+	}
+}
 
 // LowerBound computes the live-range lower bound of §6.2: for each final
 // check constraint (checker, checkee), the checkee's alias register must
 // stay live from the checkee's position in the final sequence to its last
 // checker's position. The maximum number of such live ranges crossing any
 // point bounds every possible allocation from below.
-func LowerBound(res *Result) int {
+func (s *LowerBoundScratch) LowerBound(res *Result) int {
 	// Max op ID bounds the dense index space (pseudo IDs included).
 	maxID := 0
 	for _, op := range res.Seq {
@@ -77,8 +87,6 @@ func LowerBound(res *Result) int {
 			maxID = op.ID
 		}
 	}
-	s := lbPool.Get().(*lbScratch)
-	defer lbPool.Put(s)
 	s.pos = resetInt32s(s.pos, maxID+1, -1)
 	s.start = resetInt32s(s.start, maxID+1, -1)
 	s.end = resetInt32s(s.end, maxID+1, -1)

@@ -21,7 +21,7 @@ type Options struct {
 
 // NewAllocatorOpts is NewAllocator with ablation options.
 func NewAllocatorOpts(numOps int, ds *deps.Set, numRegs int, opts Options) *Allocator {
-	a := NewAllocator(numOps, ds, numRegs)
-	a.opts = opts
+	a := new(Allocator)
+	a.Reset(numOps, ds, numRegs, opts)
 	return a
 }

@@ -16,7 +16,6 @@ package deps
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"smarq/internal/alias"
 	"smarq/internal/ir"
@@ -55,7 +54,7 @@ type Set struct {
 	// ops), instead of keeping a separate hash set.
 	byDst [][]Dep
 	// memIDs is scratch for Compute: the region's memory-op IDs, reused
-	// across compiles so the hot path allocates nothing once warm.
+	// across compiles so a reused set allocates nothing once warm.
 	memIDs []int32
 }
 
@@ -64,12 +63,9 @@ func NewSet() *Set {
 	return &Set{}
 }
 
-var setPool = sync.Pool{New: func() interface{} { return &Set{} }}
-
-// newSetSized returns an empty set presized for numOps destination groups.
-// The set may come from the pool; hot-path callers return it with Release.
-func newSetSized(numOps int) *Set {
-	s := setPool.Get().(*Set)
+// reset empties the set, keeping its storage, and sizes it for numOps
+// destination groups.
+func (s *Set) reset(numOps int) {
 	s.All = s.All[:0]
 	s.memIDs = s.memIDs[:0]
 	if cap(s.byDst) < numOps {
@@ -80,16 +76,10 @@ func newSetSized(numOps int) *Set {
 			s.byDst[i] = s.byDst[i][:0]
 		}
 	}
-	return s
 }
 
-// Release returns the set to the internal pool. The caller must not use
-// it (or any slice obtained from it) afterwards.
-func (s *Set) Release() {
-	if s != nil {
-		setPool.Put(s)
-	}
-}
+// Release does nothing; it stays only so existing callers keep compiling.
+func (s *Set) Release() {}
 
 // Add inserts a dependence, ignoring duplicates of the same direction.
 func (s *Set) Add(d Dep) {
@@ -140,7 +130,15 @@ func (s *Set) Counts() (base, extended int) {
 // carry no dependence — this is the "compiler can easily disambiguate
 // them" case of Figure 7 (c).
 func Compute(reg *ir.Region, tbl *alias.Table) *Set {
-	s := newSetSized(len(reg.Ops))
+	s := NewSet()
+	s.Compute(reg, tbl)
+	return s
+}
+
+// Compute replaces s's contents with the region's base dependences (see
+// the package-level Compute), reusing s's storage.
+func (s *Set) Compute(reg *ir.Region, tbl *alias.Table) {
+	s.reset(len(reg.Ops))
 	for _, o := range reg.Ops {
 		if o.IsMem() {
 			s.memIDs = append(s.memIDs, int32(o.ID))
@@ -164,7 +162,6 @@ func Compute(reg *ir.Region, tbl *alias.Table) *Set {
 			})
 		}
 	}
-	return s
 }
 
 // AddExtendedLoadElim applies [EXTENDED-DEPENDENCE 1]: a load z was

@@ -312,12 +312,49 @@ func (s *System) newCompileInput(entry int) (*compileInput, error) {
 	return in, nil
 }
 
-// arenaPool recycles translate arenas across compiles. Each pipeline run
-// (inline or on a worker goroutine) takes one arena for its
-// duration; installed code is frozen out of the arena before it returns
-// to the pool, so nothing that outlives the compile aliases pooled
-// memory.
-var arenaPool = sync.Pool{New: func() interface{} { return ir.NewArena() }}
+// compileScratch is the working storage of one compile: the IR arena and
+// one reusable value per pipeline stage, each reset and refilled in place
+// by its stage. Installed code is frozen out of the arena before the
+// scratch is reused, so nothing that outlives the compile aliases it.
+type compileScratch struct {
+	arena ir.Arena
+	xl    xlate.Translator
+	tbl   alias.Table
+	opt   opt.Result
+	deps  deps.Set
+	sched sched.Scratch
+}
+
+// scratchFree is the one free list of compile scratch, shared by inline
+// and background compiles. The garbage collector never empties it, so a
+// compile's allocations do not depend on GC timing, and it grows only to
+// the peak number of concurrent compiles.
+var scratchFree struct {
+	sync.Mutex
+	list []*compileScratch
+}
+
+// takeScratch borrows a compile scratch from the free list, or makes one
+// when every scratch is in use.
+func takeScratch() *compileScratch {
+	scratchFree.Lock()
+	defer scratchFree.Unlock()
+	n := len(scratchFree.list)
+	if n == 0 {
+		return new(compileScratch)
+	}
+	cs := scratchFree.list[n-1]
+	scratchFree.list = scratchFree.list[:n-1]
+	return cs
+}
+
+// giveScratch returns a borrowed scratch to the free list.
+func giveScratch(cs *compileScratch) {
+	cs.arena.Reset()
+	scratchFree.Lock()
+	scratchFree.list = append(scratchFree.list, cs)
+	scratchFree.Unlock()
+}
 
 // compilePipeline is the active compile path. Tests swap in
 // runCompilePipelineRef to differentially check the flat-arena pipeline
@@ -329,39 +366,37 @@ var compilePipeline = runCompilePipeline
 // overflow retry ladder), and bake the VLIW code. It touches nothing but
 // its input, so it is safe on a worker goroutine.
 //
-// Every intermediate structure is recycled: the IR comes from a pooled
-// arena, and the alias table, dependence set and optimizer result are
-// handed back to their pools on exit. Only the frozen CompiledRegion and
-// plain-value stats escape (the memo retains compile outputs forever).
+// Every intermediate structure lives in a compileScratch borrowed from
+// the free list for the duration of the compile. Only the frozen
+// CompiledRegion and plain-value stats escape (the memo retains compile
+// outputs forever). A compile that panics never returns its scratch: the
+// free list only ever holds scratch from compiles that finished.
 func runCompilePipeline(in *compileInput) *compileOutput {
+	cs := takeScratch()
+	out := cs.compile(in)
+	giveScratch(cs)
+	return out
+}
+
+// compile runs the pipeline over cs's storage.
+func (cs *compileScratch) compile(in *compileInput) *compileOutput {
 	out := &compileOutput{
 		guestInsts: len(in.sb.Insts),
 		memOps:     in.sb.NumMemOps(),
 	}
-	ar := arenaPool.Get().(*ir.Arena)
-	defer func() {
-		ar.Reset()
-		arenaPool.Put(ar)
-	}()
-	reg, err := xlate.TranslateArena(in.sb, ar)
+	reg, err := cs.xl.Translate(in.sb, &cs.arena)
 	if err != nil {
 		out.err = err
 		return out
 	}
-	tbl := alias.BuildTable(reg, in.blacklist)
-	optRes := opt.Run(reg, tbl, in.optCfg)
-	ds := deps.Compute(reg, tbl)
-	opt.AddExtendedDeps(ds, reg, tbl, optRes)
-	// The deferred closures release whatever tbl/ds refer to at return —
-	// the retry ladder below releases and rebinds them mid-flight.
-	defer func() {
-		tbl.Release()
-		ds.Release()
-		optRes.Release()
-	}()
+	tbl, ds := &cs.tbl, &cs.deps
+	tbl.Build(reg, in.blacklist)
+	cs.opt.Run(reg, tbl, in.optCfg)
+	ds.Compute(reg, tbl)
+	opt.AddExtendedDeps(ds, reg, tbl, &cs.opt)
 
 	scfg := in.scfg
-	sc, err := sched.Run(reg, tbl, ds, scfg)
+	sc, err := cs.sched.Run(reg, tbl, ds, scfg)
 	if err != nil {
 		// Alias register overflow: retry pinned to non-speculation mode,
 		// then give up on eliminations entirely. The failed attempt left
@@ -369,20 +404,18 @@ func runCompilePipeline(in *compileInput) *compileOutput {
 		out.overflowRetries++
 		resetAnnotations(reg)
 		scfg.ForceNonSpec = true
-		sc, err = sched.Run(reg, tbl, ds, scfg)
+		sc, err = cs.sched.Run(reg, tbl, ds, scfg)
 		if err != nil {
 			// Re-translate into the same arena (no Reset mid-compile —
 			// the failed region's slab space is simply left behind).
-			reg, err = xlate.TranslateArena(in.sb, ar)
+			reg, err = cs.xl.Translate(in.sb, &cs.arena)
 			if err != nil {
 				out.err = err
 				return out
 			}
-			tbl.Release()
-			ds.Release()
-			tbl = alias.BuildTable(reg, in.blacklist)
-			ds = deps.Compute(reg, tbl)
-			sc, err = sched.Run(reg, tbl, ds, scfg)
+			tbl.Build(reg, in.blacklist)
+			ds.Compute(reg, tbl)
+			sc, err = cs.sched.Run(reg, tbl, ds, scfg)
 			if err != nil {
 				out.err = fmt.Errorf("dynopt: region B%d cannot be scheduled: %w", in.entry, err)
 				return out
@@ -396,15 +429,14 @@ func runCompilePipeline(in *compileInput) *compileOutput {
 	fseq, freg := ir.Freeze(sc.Seq, reg)
 	out.cr = in.scfg.Machine.Compile(fseq, freg, len(in.sb.Insts))
 	out.alloc = sc.Alloc.Stats
-	out.working = core.MeasureWorkingSets(sc.Alloc, in.sb.NumMemOps())
+	out.working = cs.sched.WorkingSets(sc, in.sb.NumMemOps())
 	out.seqLen = len(sc.Seq)
-	sc.Release()
 	return out
 }
 
 // runCompilePipelineRef is the retained reference compile path: private
-// never-recycled IR allocations and the heap-based reference scheduler,
-// with no pooling hand-backs. TestCompileFlatMatchesReference drives it
+// never-recycled IR and stage values and the heap-based reference
+// scheduler. TestCompileFlatMatchesReference drives it
 // against runCompilePipeline and requires identical outputs.
 func runCompilePipelineRef(in *compileInput) *compileOutput {
 	out := &compileOutput{
@@ -492,24 +524,16 @@ func runCompileJob(in *compileInput, panicInject bool, poison faultinject.Poison
 	return out
 }
 
-// keyScratch recycles the sorted-encoding buffers memoKey needs for the
-// pin and blacklist sets: hashing runs on the dispatch path at every
-// enqueue, so key construction must not allocate.
-type keyScratch struct {
-	ints  []int
-	pairs []alias.Pair
-}
-
-var keyScratchPool = sync.Pool{New: func() interface{} { return &keyScratch{} }}
-
 // memoKey canonically hashes a compile input: every superblock byte plus
 // every configuration bit the pipeline reads. Fields that cannot vary
 // within one System (the machine model, ablations, hardware mode) are
 // still folded: Systems that share a CodeCache may differ in any of them.
 // The machine model reaches the schedule and the cycle count through its
 // issue widths and latencies; its cost-model fields are read at install
-// time, not by the pipeline, so they stay out of the key.
-func memoKey(in *compileInput) compilequeue.Key {
+// time, not by the pipeline, so they stay out of the key. Hashing runs on
+// the dispatch path at every enqueue, so the sorted pin and blacklist
+// encodings reuse the System's buffers instead of allocating.
+func (s *System) memoKey(in *compileInput) compilequeue.Key {
 	k := compilequeue.NewKey()
 	sb := in.sb
 	k = k.Int(int64(sb.Entry)).Int(int64(sb.FinalTarget)).Int(int64(sb.UnrollFactor))
@@ -532,12 +556,10 @@ func memoKey(in *compileInput) compilequeue.Key {
 	k = k.Int(int64(m.IssueWidth)).Int(int64(m.MemPorts)).Int(int64(m.IntLat)).Int(int64(m.MemLat))
 	k = k.Int(int64(m.FPLat)).Int(int64(m.FDivLat)).Int(int64(m.FSqrtLat))
 	if len(sc.PinnedOps) == 0 && len(in.blacklist) == 0 {
-		// Common case: no pins, no blacklist. Encode the zero lengths
-		// without touching the scratch pool.
+		// Common case: no pins, no blacklist.
 		return k.Int(0).Int(0)
 	}
-	scr := keyScratchPool.Get().(*keyScratch)
-	pins := scr.ints[:0]
+	pins := s.keyPins[:0]
 	for op := range sc.PinnedOps {
 		pins = append(pins, op)
 	}
@@ -546,7 +568,7 @@ func memoKey(in *compileInput) compilequeue.Key {
 	for _, op := range pins {
 		k = k.Int(int64(op))
 	}
-	pairs := scr.pairs[:0]
+	pairs := s.keyPairs[:0]
 	for p := range in.blacklist {
 		pairs = append(pairs, p)
 	}
@@ -560,8 +582,7 @@ func memoKey(in *compileInput) compilequeue.Key {
 	for _, p := range pairs {
 		k = k.Int(int64(p.A)).Int(int64(p.B))
 	}
-	scr.ints, scr.pairs = pins, pairs
-	keyScratchPool.Put(scr)
+	s.keyPins, s.keyPairs = pins, pairs
 	return k
 }
 
@@ -785,10 +806,10 @@ func (s *System) lookupCompiled(p *pendingCompile, in *compileInput) {
 			s.tel.memoTable(s.memo.Len(), s.memo.Evictions())
 			s.trace("injected memo pressure: dropped LRU entry (%d left)", s.memo.Len())
 		}
-		p.key = memoKey(in)
+		p.key = s.memoKey(in)
 		p.out, p.memoHit = s.memo.Get(p.key)
 	case s.shared != nil:
-		p.key = memoKey(in)
+		p.key = s.memoKey(in)
 		var leader bool
 		p.out, p.memoHit, p.flight, leader = s.shared.cache.Lookup(p.key)
 		p.deduped = p.flight != nil && !leader

@@ -364,6 +364,10 @@ type System struct {
 	// inline is the synchronous path's job slot: an inline compile
 	// installs before the next one starts, so one slot is enough.
 	inline pendingCompile
+	// keyPins and keyPairs are memoKey's sort buffers; memoKey only runs
+	// on the simulation thread.
+	keyPins  []int
+	keyPairs []alias.Pair
 	// injFailStreak counts consecutive chaos-injected compile failures
 	// per entry; injected failures back off additively instead of the
 	// real-failure doubling (see compileFailBackoff).

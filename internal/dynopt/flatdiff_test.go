@@ -34,10 +34,10 @@ func diffConfigs() map[string]Config {
 }
 
 // TestCompileFlatMatchesReference is the tentpole's correctness gate:
-// the flat-arena pipeline (pooled IR arena, CLZ-bitmap scheduler, pooled
-// alias/deps/opt structures, frozen install) must be observationally
-// identical to the retained reference pipeline (private allocations,
-// heap scheduler, no pooling) — same schedules, alias assignments,
+// the flat-arena pipeline (reused IR arena, CLZ-bitmap scheduler, reused
+// alias/deps/opt/sched stage values, frozen install) must be
+// observationally identical to the retained reference pipeline (private
+// allocations, heap scheduler, no reuse) — same schedules, alias assignments,
 // stats, memo keys and guest state, across hardware modes and chaos
 // seeds.
 func TestCompileFlatMatchesReference(t *testing.T) {
@@ -92,10 +92,10 @@ func TestCompileFlatMatchesReference(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					keyBefore := memoKey(in)
+					keyBefore := flat.sys.memoKey(in)
 					fout := runCompilePipeline(in)
 					rout := runCompilePipelineRef(in)
-					if keyAfter := memoKey(in); keyAfter != keyBefore {
+					if keyAfter := flat.sys.memoKey(in); keyAfter != keyBefore {
 						t.Errorf("B%d: pipeline mutated its input: memo key %x -> %x", entry, keyBefore, keyAfter)
 					}
 					compareOutputs(t, entry, fout, rout)

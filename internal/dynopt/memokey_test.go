@@ -11,7 +11,7 @@ import (
 
 // TestMemoKeyZeroAllocs pins content-hash key construction at zero heap
 // allocations: memoKey runs on the dispatch path at every enqueue, so the
-// sorted blacklist/pin encodings must come out of the pooled scratch, not
+// sorted blacklist/pin encodings must reuse the System's buffers, not
 // fresh slices. The blacklist and pin sets are deliberately nonempty —
 // the sorted encodings are the only part of the fold that ever allocated.
 func TestMemoKeyZeroAllocs(t *testing.T) {
@@ -38,21 +38,14 @@ func TestMemoKeyZeroAllocs(t *testing.T) {
 	}
 	in.scfg.PinnedOps = map[int]bool{9: true, 2: true, 5: true}
 
-	want := memoKey(in)
+	want := sys.memoKey(in)
 	allocs := testing.AllocsPerRun(200, func() {
-		if got := memoKey(in); got != want {
+		if got := sys.memoKey(in); got != want {
 			t.Fatalf("memo key unstable: %#x != %#x", got, want)
 		}
 	})
-	// Under the race detector sync.Pool drops a fraction of Puts, so the
-	// pooled scratch occasionally reallocates; the exact-zero pin only
-	// holds in a normal build.
-	budget := 0.0
-	if raceEnabled {
-		budget = 2
-	}
-	if allocs > budget {
-		t.Errorf("memoKey allocates %.1f times per call, want <= %.0f", allocs, budget)
+	if allocs != 0 {
+		t.Errorf("memoKey allocates %.1f times per call, want 0", allocs)
 	}
 }
 

@@ -49,7 +49,9 @@ func EncodeProgram(p *Program) []byte {
 }
 
 // DecodeProgram parses a binary image back into a program and validates
-// it.
+// it. Every count in the image is checked against the bytes that remain
+// before anything is sized from it, so a hostile image cannot make the
+// decoder allocate more than a small multiple of its own length.
 func DecodeProgram(data []byte) (*Program, error) {
 	r := &reader{data: data}
 	magic, err := r.bytes(4)
@@ -74,17 +76,17 @@ func DecodeProgram(data []byte) (*Program, error) {
 	if err != nil {
 		return nil, err
 	}
-	if nblocks > 1<<20 {
-		return nil, fmt.Errorf("guest: implausible block count %d", nblocks)
+	if uint64(nblocks)*4 > uint64(r.left()) {
+		return nil, fmt.Errorf("guest: block count %d exceeds the %d bytes left", nblocks, r.left())
 	}
-	p := &Program{Entry: int(entry)}
+	p := &Program{Entry: int(entry), Blocks: make([]*Block, 0, nblocks)}
 	for i := 0; i < int(nblocks); i++ {
 		n, err := r.u32()
 		if err != nil {
 			return nil, err
 		}
-		if n > 1<<20 {
-			return nil, fmt.Errorf("guest: implausible instruction count %d", n)
+		if uint64(n)*instBytes > uint64(r.left()) {
+			return nil, fmt.Errorf("guest: block %d instruction count %d exceeds the %d bytes left", i, n, r.left())
 		}
 		blk := &Block{ID: i, Insts: make([]Inst, 0, n)}
 		for j := 0; j < int(n); j++ {
@@ -122,6 +124,9 @@ type reader struct {
 	data []byte
 	pos  int
 }
+
+// left returns the number of unread bytes.
+func (r *reader) left() int { return len(r.data) - r.pos }
 
 func (r *reader) bytes(n int) ([]byte, error) {
 	if r.pos+n > len(r.data) {

@@ -15,8 +15,6 @@
 package opt
 
 import (
-	"sync"
-
 	"smarq/internal/alias"
 	"smarq/internal/deps"
 	"smarq/internal/guest"
@@ -59,17 +57,24 @@ type Result struct {
 	eliminated []bool
 }
 
-var resultPool = sync.Pool{New: func() interface{} {
-	return &Result{LoadElimSource: make(map[int]int)}
-}}
-
-// Run applies the configured eliminations to reg in place. The alias table
-// must have been built from the region *before* this call (it keeps the
-// original access info for ops that get eliminated). The result comes from
-// an internal pool; hot-path callers hand it back with Release.
+// Run applies the configured eliminations to reg in place and reports
+// them in a new Result (see Result.Run).
 func Run(reg *ir.Region, tbl *alias.Table, cfg Config) *Result {
-	res := resultPool.Get().(*Result)
+	res := new(Result)
+	res.Run(reg, tbl, cfg)
+	return res
+}
+
+// Run applies the configured eliminations to reg in place and records
+// them in res, replacing its previous contents and reusing its storage.
+// The alias table must have been built from the region *before* this
+// call (it keeps the original access info for ops that get eliminated).
+// The zero Result is ready to Run.
+func (res *Result) Run(reg *ir.Region, tbl *alias.Table, cfg Config) {
 	res.Elims = res.Elims[:0]
+	if res.LoadElimSource == nil {
+		res.LoadElimSource = make(map[int]int)
+	}
 	clear(res.LoadElimSource)
 	res.LoadsRemoved, res.StoresRemoved = 0, 0
 	if cap(res.eliminated) < len(reg.Ops) {
@@ -86,16 +91,10 @@ func Run(reg *ir.Region, tbl *alias.Table, cfg Config) *Result {
 	if cfg.LoadElim {
 		runLoadElim(reg, tbl, cfg, res)
 	}
-	return res
 }
 
-// Release returns the result to the pool. The caller must not use it
-// afterwards.
-func (r *Result) Release() {
-	if r != nil {
-		resultPool.Put(r)
-	}
-}
+// Release does nothing; it stays only so existing callers keep compiling.
+func (r *Result) Release() {}
 
 // AddExtendedDeps inserts the extended dependences for every elimination
 // (to be called after base dependences are computed).

@@ -9,7 +9,6 @@ package sched
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"smarq/internal/alias"
 	"smarq/internal/aliashw"
@@ -79,17 +78,10 @@ type Schedule struct {
 	NonSpecCycles int
 }
 
-// Release recycles the schedule's allocation result (sequence, dense
-// order/base views, constraint listings). The caller must be done with
-// every view into the schedule, Seq included; the compile pipeline calls
-// it after freezing and measuring the schedule.
-func (s *Schedule) Release() {
-	if s.Alloc != nil {
-		s.Alloc.Release()
-		s.Alloc = nil
-	}
-	s.Seq = nil
-}
+// Release does nothing. A schedule's storage belongs to the Scratch that
+// produced it and is reused by that Scratch's next Run; the method stays
+// only so existing callers keep compiling.
+func (s *Schedule) Release() {}
 
 // breakable reports whether dependence d may be violated by reordering
 // under the configured hardware (the check will be performed at runtime).
@@ -190,7 +182,7 @@ type node struct {
 
 // rankSorter sorts node IDs by scheduling priority — height descending,
 // ID ascending — producing the static total order the ready bitmap is
-// indexed by. It lives inside the pooled scratch so sort.Sort sees an
+// indexed by. It lives inside the Scratch so sort.Sort sees an
 // already-heap-allocated value and the sort itself allocates nothing.
 type rankSorter struct {
 	ids   []int32
@@ -207,11 +199,14 @@ func (s *rankSorter) Less(i, j int) bool {
 }
 func (s *rankSorter) Swap(i, j int) { s.ids[i], s.ids[j] = s.ids[j], s.ids[i] }
 
-// scratch is the per-Run working storage, pooled so steady-state
-// compilation reuses the node array, CSR edge buffers, worklists and the
-// ready structures instead of reallocating them (compilations may run on
-// concurrent worker goroutines, hence a pool rather than package globals).
-type scratch struct {
+// Scratch is the scheduler's reusable working storage: the node array, CSR
+// edge buffers, worklists and ready structures, the ordered-queue
+// allocator (which owns its constraint graph and Result), and the
+// lower-bound buffers. Run refills it in place, so a warm Scratch
+// allocates only what the schedule emits. The zero value is ready; a
+// Scratch serves one compile at a time, and the Schedule a Run returns is
+// valid until that Scratch's next Run.
+type Scratch struct {
 	nodes        []node
 	defOf        []int32 // vreg -> defining op, -1 when none
 	succOff      []int32 // CSR: nodes[i] successors are succs[succOff[i]:succOff[i+1]]
@@ -231,12 +226,13 @@ type scratch struct {
 	ready    readyHeap
 	deferred []item
 	stash    []item
+	// Ordered-queue allocation (Run) and working-set measurement.
+	alloc core.Allocator
+	lb    core.LowerBoundScratch
 }
 
-var scratchPool = sync.Pool{New: func() interface{} { return &scratch{} }}
-
-// grab returns pooled storage sized for n ops and nv vregs, cleared.
-func (sc *scratch) grab(n, nv int) {
+// grab sizes the storage for n ops and nv vregs, cleared.
+func (sc *Scratch) grab(n, nv int) {
 	sc.nodes = resize(sc.nodes, n)
 	sc.defOf = resize(sc.defOf, nv)
 	for i := range sc.defOf {
@@ -265,7 +261,7 @@ func resize[T any](s []T, n int) []T {
 
 // buildNodes fills the node array from the region's ops and returns the
 // number of memory ops.
-func buildNodes(sc0 *scratch, reg *ir.Region) int32 {
+func buildNodes(sc0 *Scratch, reg *ir.Region) int32 {
 	nodes := sc0.nodes
 	defOf := sc0.defOf
 	memSeq := int32(0)
@@ -287,7 +283,7 @@ func buildNodes(sc0 *scratch, reg *ir.Region) int32 {
 // identical deterministic order). Duplicate edges are kept, exactly like
 // a per-node append would — preds is incremented and released per
 // duplicate, which cancels out.
-func buildEdges(sc0 *scratch, reg *ir.Region, ds *deps.Set, cfg Config) (succOff, succs []int32) {
+func buildEdges(sc0 *Scratch, reg *ir.Region, ds *deps.Set, cfg Config) (succOff, succs []int32) {
 	n := len(reg.Ops)
 	nodes := sc0.nodes
 	defOf := sc0.defOf
@@ -347,7 +343,7 @@ func buildEdges(sc0 *scratch, reg *ir.Region, ds *deps.Set, cfg Config) (succOff
 
 // computeHeights assigns each node its critical-path priority: the
 // longest latency-weighted path to a leaf.
-func computeHeights(sc0 *scratch, cfg Config, succsOf func(int) []int32) {
+func computeHeights(sc0 *Scratch, cfg Config, succsOf func(int) []int32) {
 	nodes := sc0.nodes
 	for i := len(nodes) - 1; i >= 0; i-- {
 		nd := &nodes[i]
@@ -364,7 +360,7 @@ func computeHeights(sc0 *scratch, cfg Config, succsOf func(int) []int32) {
 // computeForcedP marks memory ops that will set an alias register even in
 // non-speculation mode — destinations of backward (extended) dependences
 // (Figure 13 line 24's future-usage term) — and returns their count.
-func computeForcedP(sc0 *scratch, ds *deps.Set, cfg Config) int {
+func computeForcedP(sc0 *Scratch, ds *deps.Set, cfg Config) int {
 	forcedP := sc0.forcedP
 	futureP := 0
 	for _, d := range ds.All {
@@ -374,6 +370,17 @@ func computeForcedP(sc0 *scratch, ds *deps.Set, cfg Config) int {
 		}
 	}
 	return futureP
+}
+
+// Run schedules the region with a fresh Scratch (see Scratch.Run).
+func Run(reg *ir.Region, tbl *alias.Table, ds *deps.Set, cfg Config) (*Schedule, error) {
+	return new(Scratch).Run(reg, tbl, ds, cfg)
+}
+
+// WorkingSets measures the Figure 17 statistics of a schedule, using the
+// Scratch's lower-bound buffers.
+func (sc0 *Scratch) WorkingSets(sc *Schedule, memOps int) core.WorkingSets {
+	return sc0.lb.MeasureWorkingSets(sc.Alloc, memOps)
 }
 
 // Run schedules the region and allocates alias registers. The dependence
@@ -389,10 +396,8 @@ func computeForcedP(sc0 *scratch, ds *deps.Set, cfg Config) int {
 // heap sift. RunRef keeps the heap implementation; the two walk ready
 // sets in the identical total order and must produce identical schedules
 // (TestRunMatchesReference).
-func Run(reg *ir.Region, tbl *alias.Table, ds *deps.Set, cfg Config) (*Schedule, error) {
+func (sc0 *Scratch) Run(reg *ir.Region, tbl *alias.Table, ds *deps.Set, cfg Config) (*Schedule, error) {
 	n := len(reg.Ops)
-	sc0 := scratchPool.Get().(*scratch)
-	defer scratchPool.Put(sc0)
 	sc0.grab(n, reg.NumVRegs)
 	nodes := sc0.nodes
 	memSeq := buildNodes(sc0, reg)
@@ -435,7 +440,8 @@ func Run(reg *ir.Region, tbl *alias.Table, ds *deps.Set, cfg Config) (*Schedule,
 		bitmask = newBitmaskSink(ds)
 		alloc = bitmask
 	} else {
-		ordered = core.NewAllocatorOpts(n, ds, numRegs, cfg.Alloc)
+		ordered = &sc0.alloc
+		ordered.Reset(n, ds, numRegs, cfg.Alloc)
 		alloc = ordered
 	}
 	readyBM := &sc0.readyBM

@@ -85,8 +85,7 @@ func (h *readyHeap) pop() item {
 // for differential testing. It must stay behaviorally identical to Run.
 func RunRef(reg *ir.Region, tbl *alias.Table, ds *deps.Set, cfg Config) (*Schedule, error) {
 	n := len(reg.Ops)
-	sc0 := scratchPool.Get().(*scratch)
-	defer scratchPool.Put(sc0)
+	sc0 := new(Scratch)
 	sc0.grab(n, reg.NumVRegs)
 	nodes := sc0.nodes
 	memSeq := buildNodes(sc0, reg)
@@ -236,7 +235,7 @@ func RunRef(reg *ir.Region, tbl *alias.Table, ds *deps.Set, cfg Config) (*Schedu
 			for nextMem < memSeq && memScheduled[nextMem] {
 				nextMem++
 			}
-			if forcedPOf(sc0)[nd.op.ID] {
+			if sc0.forcedP[nd.op.ID] {
 				futureP--
 			}
 		}
@@ -269,5 +268,3 @@ func RunRef(reg *ir.Region, tbl *alias.Table, ds *deps.Set, cfg Config) (*Schedu
 	sc.Alloc = res
 	return sc, nil
 }
-
-func forcedPOf(sc *scratch) []bool { return sc.forcedP }

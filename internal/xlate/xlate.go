@@ -12,13 +12,13 @@
 // Ops, MemInfos and operand lists are carved out of an ir.Arena sized from
 // the superblock (each guest instruction emits at most one op with at most
 // two operands), so translation performs a constant number of heap
-// allocations regardless of region size — and none at all once a recycled
-// arena's slabs reach steady state (TranslateArena).
+// allocations regardless of region size — and none at all once a reused
+// arena's slabs and a reused Translator's views reach steady state
+// (Translator.Translate).
 package xlate
 
 import (
 	"fmt"
-	"sync"
 
 	"smarq/internal/guest"
 	"smarq/internal/ir"
@@ -31,7 +31,11 @@ type canonAddr struct {
 	abs  bool
 }
 
-type translator struct {
+// Translator holds translation's working storage (the constant and
+// canonical-address views); the region itself lives in the caller's
+// arena. The zero value is ready, and a reused Translator allocates
+// nothing once its views reach the region size.
+type Translator struct {
 	reg      *ir.Region
 	ar       *ir.Arena
 	curInt   [guest.NumRegs]ir.VReg
@@ -46,11 +50,6 @@ type translator struct {
 	canon    []canonAddr
 }
 
-// transPool recycles translator scratch (the constant and canonical
-// views) across calls; the region data itself lives in the caller's
-// arena.
-var transPool = sync.Pool{New: func() interface{} { return new(translator) }}
-
 // Translate converts a superblock into an IR region backed by a private,
 // never-recycled arena, so the result may be retained indefinitely.
 func Translate(sb *region.Superblock) (*ir.Region, error) {
@@ -58,15 +57,20 @@ func Translate(sb *region.Superblock) (*ir.Region, error) {
 }
 
 // TranslateArena converts a superblock into an IR region carved out of
-// ar. The caller owns the arena: every pointer in the returned region
-// aliases arena memory and dies at the arena's next Reset, so long-lived
+// ar, using a fresh Translator (see Translator.Translate).
+func TranslateArena(sb *region.Superblock, ar *ir.Arena) (*ir.Region, error) {
+	return new(Translator).Translate(sb, ar)
+}
+
+// Translate converts a superblock into an IR region carved out of ar. The
+// caller owns the arena: every pointer in the returned region aliases
+// arena memory and dies at the arena's next Reset, so long-lived
 // consumers must ir.Freeze whatever they keep. Translating again into
 // the same arena without a Reset is allowed (the compile retry ladder
 // does this); the earlier region's slab space is simply left behind.
-func TranslateArena(sb *region.Superblock, ar *ir.Arena) (*ir.Region, error) {
+func (t *Translator) Translate(sb *region.Superblock, ar *ir.Arena) (*ir.Region, error) {
 	n := len(sb.Insts)
 	maxVRegs := 2*guest.NumRegs + n
-	t := transPool.Get().(*translator)
 	t.ar = ar
 	t.reg = ar.NewRegion(n)
 	t.reg.Entry = sb.Entry
@@ -98,7 +102,7 @@ func TranslateArena(sb *region.Superblock, ar *ir.Arena) (*ir.Region, error) {
 
 // sizeViews resizes the constant/canonical views to maxVRegs, clearing
 // only the validity flags (the value arrays are read through them).
-func (t *translator) sizeViews(maxVRegs int) {
+func (t *Translator) sizeViews(maxVRegs int) {
 	if cap(t.constOK) < maxVRegs {
 		t.constOK = make([]bool, maxVRegs)
 		t.constVal = make([]int64, maxVRegs)
@@ -118,22 +122,21 @@ func (t *translator) sizeViews(maxVRegs int) {
 	}
 }
 
-// release drops the region references and returns the translator's
-// scratch to the pool.
-func (t *translator) release() {
+// release drops the region references, so a reused Translator does not
+// keep the caller's arena reachable.
+func (t *Translator) release() {
 	t.reg = nil
 	t.ar = nil
-	transPool.Put(t)
 }
 
-func (t *translator) fresh() ir.VReg {
+func (t *Translator) fresh() ir.VReg {
 	v := t.next
 	t.next++
 	return v
 }
 
 // emit appends a new op to the region, allocated from the arena.
-func (t *translator) emit(o ir.Op) *ir.Op {
+func (t *Translator) emit(o ir.Op) *ir.Op {
 	o.ID = len(t.reg.Ops)
 	o.AROffset = -1
 	p := t.ar.NewOp(o)
@@ -142,56 +145,56 @@ func (t *translator) emit(o ir.Op) *ir.Op {
 }
 
 // newMem places a MemInfo in the arena.
-func (t *translator) newMem(m ir.MemInfo) *ir.MemInfo { return t.ar.NewMem(m) }
+func (t *Translator) newMem(m ir.MemInfo) *ir.MemInfo { return t.ar.NewMem(m) }
 
 // srcs1/srcs2 and flags1/flags2 carve capped operand lists out of the
 // arena slabs.
-func (t *translator) srcs1(a ir.VReg) []ir.VReg { return t.ar.Srcs1(a) }
+func (t *Translator) srcs1(a ir.VReg) []ir.VReg { return t.ar.Srcs1(a) }
 
-func (t *translator) srcs2(a, b ir.VReg) []ir.VReg { return t.ar.Srcs2(a, b) }
+func (t *Translator) srcs2(a, b ir.VReg) []ir.VReg { return t.ar.Srcs2(a, b) }
 
-func (t *translator) flags1(a bool) []bool { return t.ar.Flags1(a) }
+func (t *Translator) flags1(a bool) []bool { return t.ar.Flags1(a) }
 
-func (t *translator) flags2(a, b bool) []bool { return t.ar.Flags2(a, b) }
+func (t *Translator) flags2(a, b bool) []bool { return t.ar.Flags2(a, b) }
 
 // defInt creates a fresh vreg for a guest integer register definition.
-func (t *translator) defInt(r guest.Reg) ir.VReg {
+func (t *Translator) defInt(r guest.Reg) ir.VReg {
 	v := t.fresh()
 	t.curInt[r] = v
 	return v
 }
 
-func (t *translator) defFloat(r guest.Reg) ir.VReg {
+func (t *Translator) defFloat(r guest.Reg) ir.VReg {
 	v := t.fresh()
 	t.curFloat[r] = v
 	return v
 }
 
-func (t *translator) canonOf(v ir.VReg) canonAddr {
+func (t *Translator) canonOf(v ir.VReg) canonAddr {
 	if v >= 0 && int(v) < len(t.canon) && t.canonOK[v] {
 		return t.canon[v]
 	}
 	return canonAddr{root: v}
 }
 
-func (t *translator) setCanon(v ir.VReg, c canonAddr) {
+func (t *Translator) setCanon(v ir.VReg, c canonAddr) {
 	t.canonOK[v] = true
 	t.canon[v] = c
 }
 
-func (t *translator) constOf(v ir.VReg) (int64, bool) {
+func (t *Translator) constOf(v ir.VReg) (int64, bool) {
 	if v >= 0 && int(v) < len(t.constVal) && t.constOK[v] {
 		return t.constVal[v], true
 	}
 	return 0, false
 }
 
-func (t *translator) setConst(v ir.VReg, c int64) {
+func (t *Translator) setConst(v ir.VReg, c int64) {
 	t.constOK[v] = true
 	t.constVal[v] = c
 }
 
-func (t *translator) translateInst(ri region.Inst) error {
+func (t *Translator) translateInst(ri region.Inst) error {
 	in := ri.Inst
 	op := in.Op
 	switch {
@@ -301,7 +304,7 @@ func (t *translator) translateInst(ri region.Inst) error {
 	}
 }
 
-func (t *translator) translateIntALU(in guest.Inst) error {
+func (t *Translator) translateIntALU(in guest.Inst) error {
 	op := in.Op
 	var srcs []ir.VReg
 	switch op {
@@ -338,7 +341,7 @@ func (t *translator) translateIntALU(in guest.Inst) error {
 // cheaply are folded: constant loads, copies, and additions of constants
 // (§7 cites [13,14]: binary alias analysis must be simple to be usable in
 // a dynamic optimizer).
-func (t *translator) propagate(op guest.Opcode, dst ir.VReg, srcs []ir.VReg, imm int64) {
+func (t *Translator) propagate(op guest.Opcode, dst ir.VReg, srcs []ir.VReg, imm int64) {
 	switch op {
 	case guest.Li:
 		t.setConst(dst, imm)
