@@ -99,7 +99,8 @@ endif
 
 # Short differential fuzz of the dynopt pipeline, of the decoded
 # interpreter engine and of the ordered alias queue against its spec model,
-# plus the guest image decoder (seed corpora also run under plain
+# plus the untrusted-input parsers: the guest image decoder and the
+# smarq-analyze trace reader (seed corpora also run under plain
 # `go test`). Go allows one -fuzz pattern per invocation, hence one
 # command each.
 fuzz-smoke:
@@ -107,6 +108,7 @@ fuzz-smoke:
 	$(GO) test -run='^FuzzInterpDecoded$$' -fuzz='^FuzzInterpDecoded$$' -fuzztime=10s ./internal/interp
 	$(GO) test -run='^FuzzOrderedQueueSpec$$' -fuzz='^FuzzOrderedQueueSpec$$' -fuzztime=10s ./internal/aliashw
 	$(GO) test -run='^FuzzDecodeProgram$$' -fuzz='^FuzzDecodeProgram$$' -fuzztime=10s ./internal/guest
+	$(GO) test -run='^FuzzAnalyzeTrace$$' -fuzz='^FuzzAnalyzeTrace$$' -fuzztime=10s ./cmd/smarq-analyze
 
 # Chaos gate: the seeded fault-injection soak (spurious alias exceptions,
 # guard-fail storms, compile failures, and the host fault classes: worker

@@ -25,6 +25,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math/bits"
 	"os"
 	"path/filepath"
 	"sort"
@@ -239,6 +240,9 @@ func ingestFile(path string, runs map[string]*RunReport) error {
 		if err := json.Unmarshal([]byte(line), &e); err != nil {
 			return fmt.Errorf("%s:%d: %w (is this a JSONL trace? chrome traces are not analyzable)", path, lineNo, err)
 		}
+		if e.Cycle < 0 {
+			return fmt.Errorf("%s:%d: negative cycle %d", path, lineNo, e.Cycle)
+		}
 		key := base
 		if e.Run != 0 {
 			key = fmt.Sprintf("%s#run%d", base, e.Run)
@@ -373,10 +377,7 @@ func timeline(samples []int64, total int64, buckets int, useMax bool) Timeline {
 	seen := make([]bool, buckets)
 	for i := 0; i+1 < len(samples); i += 2 {
 		cycle, v := samples[i], samples[i+1]
-		b := int(cycle * int64(buckets) / (total + 1))
-		if b >= buckets {
-			b = buckets - 1
-		}
+		b := mulDiv(uint64(cycle), uint64(buckets), uint64(total)+1)
 		if v > tl.Peak {
 			tl.Peak = v
 		}
@@ -403,6 +404,15 @@ func timeline(samples []int64, total int64, buckets int, useMax bool) Timeline {
 		}
 	}
 	return tl
+}
+
+// mulDiv returns a*b/c in 128-bit intermediate precision, so huge trace
+// cycles cannot overflow the product. Callers guarantee a <= c, which keeps
+// the quotient within b.
+func mulDiv(a, b, c uint64) int {
+	hi, lo := bits.Mul64(a, b)
+	q, _ := bits.Div64(hi, lo, c)
+	return int(q)
 }
 
 // detectStorms slides a window over each region's rollback cycles: any
@@ -513,7 +523,7 @@ func sparkline(buckets []int64) string {
 	for _, v := range buckets {
 		i := 0
 		if max > 0 {
-			i = int(v * int64(len(levels)-1) / max)
+			i = mulDiv(uint64(v), uint64(len(levels)-1), uint64(max))
 		}
 		sb.WriteRune(levels[i])
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -32,6 +33,24 @@ func analyze(t *testing.T, args ...string) *Report {
 	return &r
 }
 
+// syntheticTrace is a hand-written trace with known answers (see
+// TestSyntheticTrace); it also seeds FuzzAnalyzeTrace.
+var syntheticTrace = []string{
+	`{"cycle":0,"ev":"meta","name":"synth-cell"}`,
+	`{"cycle":100,"ev":"compile-enqueue","region":1,"tier":"full","cost":50,"depth":2,"memo":0}`,
+	`{"cycle":150,"ev":"compile-enqueue","region":2,"tier":"full","cost":50,"depth":3,"memo":0}`,
+	`{"cycle":180,"ev":"compile-cancel","region":2,"tier":"full"}`,
+	`{"cycle":300,"ev":"compile","region":1,"tier":"full","cost":10,"ops":5,"guest":5,"mem":1,"ws":0}`,
+	`{"cycle":310,"ev":"dispatch","region":1,"tier":"full"}`,
+	`{"cycle":350,"ev":"commit","region":1,"tier":"full","cost":40,"occupancy":4,"stores":2}`,
+	`{"cycle":400,"ev":"compile","region":3,"tier":"light","cost":5,"ops":3,"guest":3,"mem":0,"ws":0}`,
+	`{"cycle":500,"ev":"demote","region":3,"tier":"light","to":"conservative","cause":"chronic"}`,
+	`{"cycle":600,"ev":"rollback","region":1,"tier":"full","cause":"alias","cost":30,"ops":7}`,
+	`{"cycle":700,"ev":"evict","region":3,"tier":"light"}`,
+	`{"cycle":800,"ev":"health","cause":"rollback-storm","from":0,"to":2}`,
+	`{"cycle":1000,"ev":"commit","region":1,"tier":"full","cost":60,"occupancy":4,"stores":1}`,
+}
+
 // TestSyntheticTrace pins the analyzer's reconstruction against a
 // hand-written trace with known answers: enqueue→install latency
 // matching (including a canceled enqueue and a synchronous install),
@@ -39,21 +58,7 @@ func analyze(t *testing.T, args ...string) *Report {
 // mapping, and the kind-polymorphic "to" key (tier-name string on
 // demote, numeric level on health — one trace carries both).
 func TestSyntheticTrace(t *testing.T) {
-	path := writeTrace(t, "synth.jsonl",
-		`{"cycle":0,"ev":"meta","name":"synth-cell"}`,
-		`{"cycle":100,"ev":"compile-enqueue","region":1,"tier":"full","cost":50,"depth":2,"memo":0}`,
-		`{"cycle":150,"ev":"compile-enqueue","region":2,"tier":"full","cost":50,"depth":3,"memo":0}`,
-		`{"cycle":180,"ev":"compile-cancel","region":2,"tier":"full"}`,
-		`{"cycle":300,"ev":"compile","region":1,"tier":"full","cost":10,"ops":5,"guest":5,"mem":1,"ws":0}`,
-		`{"cycle":310,"ev":"dispatch","region":1,"tier":"full"}`,
-		`{"cycle":350,"ev":"commit","region":1,"tier":"full","cost":40,"occupancy":4,"stores":2}`,
-		`{"cycle":400,"ev":"compile","region":3,"tier":"light","cost":5,"ops":3,"guest":3,"mem":0,"ws":0}`,
-		`{"cycle":500,"ev":"demote","region":3,"tier":"light","to":"conservative","cause":"chronic"}`,
-		`{"cycle":600,"ev":"rollback","region":1,"tier":"full","cause":"alias","cost":30,"ops":7}`,
-		`{"cycle":700,"ev":"evict","region":3,"tier":"light"}`,
-		`{"cycle":800,"ev":"health","cause":"rollback-storm","from":0,"to":2}`,
-		`{"cycle":1000,"ev":"commit","region":1,"tier":"full","cost":60,"occupancy":4,"stores":1}`,
-	)
+	path := writeTrace(t, "synth.jsonl", syntheticTrace...)
 	r := analyze(t, path)
 	if len(r.Runs) != 1 {
 		t.Fatalf("got %d runs, want 1", len(r.Runs))
@@ -259,6 +264,68 @@ func TestErrors(t *testing.T) {
 		}
 		if !strings.Contains(errb.String(), "bad.jsonl:2") {
 			t.Errorf("stderr does not pinpoint the line: %s", errb.String())
+		}
+	})
+	t.Run("negative cycle names file and line", func(t *testing.T) {
+		path := writeTrace(t, "neg.jsonl", negativeCycleTrace...)
+		var errb bytes.Buffer
+		if code := run([]string{path}, &bytes.Buffer{}, &errb); code != 1 {
+			t.Errorf("exit %d, want 1", code)
+		}
+		if !strings.Contains(errb.String(), "neg.jsonl:1: negative cycle -100") {
+			t.Errorf("stderr does not pinpoint the line: %s", errb.String())
+		}
+	})
+}
+
+// negativeCycleTrace used to index a timeline bucket at -800.
+var negativeCycleTrace = []string{`{"ev":"compile","cycle":-100,"region":1}`}
+
+// hugeCycleTrace used to overflow cycle*buckets and index bucket -15;
+// hugeDepthTrace used to overflow the sparkline's level scaling.
+var (
+	hugeCycleTrace = []string{
+		`{"ev":"compile","cycle":576460752303423488,"region":1}`,
+		`{"ev":"compile","cycle":576460752303423488,"region":2}`,
+	}
+	hugeDepthTrace = []string{
+		`{"ev":"compile-enqueue","cycle":5,"region":1,"depth":4611686018427387904}`,
+	}
+)
+
+// TestHugeValues: cycles and depths near the int64 range are well-formed
+// trace values and land in the right buckets instead of overflowing.
+func TestHugeValues(t *testing.T) {
+	r := analyze(t, writeTrace(t, "huge.jsonl", hugeCycleTrace...))
+	occ := r.Runs[0].CacheOccupancy
+	if occ.Peak != 2 || occ.Final != 2 || occ.Buckets[len(occ.Buckets)-1] != 2 || occ.Buckets[0] != 0 {
+		t.Errorf("occupancy %+v, want both installs in the last bucket", occ)
+	}
+	var out, errb bytes.Buffer
+	if code := run([]string{writeTrace(t, "deep.jsonl", hugeDepthTrace...)}, &out, &errb); code != 0 {
+		t.Fatalf("exit %d: %s", code, errb.String())
+	}
+	if !strings.Contains(out.String(), "peak=4611686018427387904") {
+		t.Errorf("queue depth peak missing:\n%s", out.String())
+	}
+}
+
+// FuzzAnalyzeTrace feeds arbitrary bytes to the analyzer as a trace file:
+// malformed input must be reported, never panic. The text and JSON report
+// paths both run.
+func FuzzAnalyzeTrace(f *testing.F) {
+	for _, trace := range [][]string{syntheticTrace, negativeCycleTrace, hugeCycleTrace, hugeDepthTrace} {
+		f.Add([]byte(strings.Join(trace, "\n") + "\n"))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		path := filepath.Join(t.TempDir(), "fuzz.jsonl")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		for _, args := range [][]string{{path}, {"-json", path}} {
+			if code := run(args, io.Discard, io.Discard); code != 0 && code != 1 {
+				t.Fatalf("exit %d on %q", code, data)
+			}
 		}
 	})
 }

@@ -462,9 +462,6 @@ func (a *Allocator) Pressure(futureP int) int {
 	return maxOrder - minBase
 }
 
-// NextOrder exposes the next order counter (tests and traces).
-func (a *Allocator) NextOrder() int { return a.nextOrder }
-
 // pendingCount counts ops still awaiting allocation (Finish's sanity
 // check).
 func (a *Allocator) pendingCount() int {

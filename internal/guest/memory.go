@@ -80,39 +80,14 @@ func (m *Memory) Store(addr uint64, size int, val uint64) error {
 	return nil
 }
 
-// Fixed-size fast accessors for the pre-decoded interpreter: the
-// bounds-check-plus-little-endian cores of Load/Store with the size switch
-// resolved at decode time. Failure returns ok=false with no side effects;
-// the caller reconstructs the exact MemFault on its cold path.
-
-// Load1 reads one byte at addr, zero-extended.
-func (m *Memory) Load1(addr uint64) (uint64, bool) { return MemLoad1(m.data, addr) }
-
-// Load2 reads a little-endian uint16 at addr, zero-extended.
-func (m *Memory) Load2(addr uint64) (uint64, bool) { return MemLoad2(m.data, addr) }
-
-// Load4 reads a little-endian uint32 at addr, zero-extended.
-func (m *Memory) Load4(addr uint64) (uint64, bool) { return MemLoad4(m.data, addr) }
-
-// Load8 reads a little-endian uint64 at addr.
-func (m *Memory) Load8(addr uint64) (uint64, bool) { return MemLoad8(m.data, addr) }
-
-// Store1 writes the low byte of val at addr.
-func (m *Memory) Store1(addr uint64, val uint64) bool { return MemStore1(m.data, addr, val) }
-
-// Store2 writes the low 2 bytes of val at addr, little-endian.
-func (m *Memory) Store2(addr uint64, val uint64) bool { return MemStore2(m.data, addr, val) }
-
-// Store4 writes the low 4 bytes of val at addr, little-endian.
-func (m *Memory) Store4(addr uint64, val uint64) bool { return MemStore4(m.data, addr, val) }
-
-// Store8 writes val at addr, little-endian.
-func (m *Memory) Store8(addr uint64, val uint64) bool { return MemStore8(m.data, addr, val) }
-
-// The MemLoad/MemStore functions below are the same accessors over a raw
+// The MemLoad/MemStore functions below are fixed-size fast accessors for
+// the pre-decoded interpreter: the bounds-check-plus-little-endian cores of
+// Load/Store with the size switch resolved at decode time, over a raw
 // backing slice (see Bytes). Interpreter-style hot loops hoist the slice
 // into a local once and use these, so every access keeps the slice header
 // in registers instead of reloading it through the *Memory indirection.
+// Failure returns ok=false with no side effects; the caller rebuilds the
+// exact MemFault on its cold path.
 
 // MemLoad1 reads one byte at addr, zero-extended.
 func MemLoad1(data []byte, addr uint64) (uint64, bool) {

@@ -1,6 +1,7 @@
 package interp
 
 import (
+	"math"
 	"testing"
 
 	"smarq/internal/guest"
@@ -9,34 +10,41 @@ import (
 
 // runEngine runs one interpreter engine over a fresh program instance and
 // returns the interpreter plus the outcome.
-func runEngine(t *testing.T, prog *guest.Program, memSize int, maxInsts uint64, ref bool) (*Interpreter, bool, error) {
-	t.Helper()
+func runEngine(prog *guest.Program, memSize int, maxInsts uint64, ref bool) (*Interpreter, bool, error) {
 	it := New(prog, &guest.State{}, guest.NewMemory(memSize))
 	it.Ref = ref
-	halted, err := it.Run(0, maxInsts)
+	halted, err := it.Run(prog.Entry, maxInsts)
 	return it, halted, err
 }
 
-// diffEngines compares every observable of a decoded run against a
-// reference run: halt/error outcome, retirement count, both register
-// files, the memory digest, and the full profile (block counts plus the
-// edge count of every static successor).
-func diffEngines(t *testing.T, name string, prog *guest.Program, dec, ref *Interpreter, haltedDec, haltedRef bool, errDec, errRef error) {
+// diffEngines runs prog through Run on the decoded engine and on the
+// reference and compares every observable: halt/error outcome, retirement
+// count, both register files (floats bit-compared, so NaN payloads count),
+// the memory digest, and the full profile (block counts plus the edge
+// count of every static successor). It returns the decoded run.
+func diffEngines(t *testing.T, name string, prog *guest.Program, memSize int, maxInsts uint64) (dec *Interpreter, halted bool, err error) {
 	t.Helper()
-	if haltedDec != haltedRef {
-		t.Fatalf("%s: halted=%v, reference %v", name, haltedDec, haltedRef)
+	ref, haltedRef, errRef := runEngine(prog, memSize, maxInsts, true)
+	dec, halted, err = runEngine(prog, memSize, maxInsts, false)
+	if halted != haltedRef {
+		t.Fatalf("%s: halted=%v, reference %v", name, halted, haltedRef)
 	}
 	switch {
-	case (errDec == nil) != (errRef == nil):
-		t.Fatalf("%s: err=%v, reference %v", name, errDec, errRef)
-	case errDec != nil && errDec.Error() != errRef.Error():
-		t.Fatalf("%s: err %q, reference %q", name, errDec, errRef)
+	case (err == nil) != (errRef == nil):
+		t.Fatalf("%s: err=%v, reference %v", name, err, errRef)
+	case err != nil && err.Error() != errRef.Error():
+		t.Fatalf("%s: err %q, reference %q", name, err, errRef)
 	}
 	if dec.DynInsts != ref.DynInsts {
 		t.Fatalf("%s: DynInsts=%d, reference %d", name, dec.DynInsts, ref.DynInsts)
 	}
-	if *dec.St != *ref.St {
-		t.Fatalf("%s: architectural state diverged:\n%+v\nreference:\n%+v", name, dec.St, ref.St)
+	for r := 0; r < guest.NumRegs; r++ {
+		if dec.St.R[r] != ref.St.R[r] {
+			t.Fatalf("%s: r%d = %#x, reference %#x", name, r, dec.St.R[r], ref.St.R[r])
+		}
+		if d, w := math.Float64bits(dec.St.F[r]), math.Float64bits(ref.St.F[r]); d != w {
+			t.Fatalf("%s: f%d bits %#x, reference %#x", name, r, d, w)
+		}
 	}
 	if d, r := dec.Mem.Digest(), ref.Mem.Digest(); d != r {
 		t.Fatalf("%s: memory digest %#x, reference %#x", name, d, r)
@@ -52,6 +60,7 @@ func diffEngines(t *testing.T, name string, prog *guest.Program, dec, ref *Inter
 			}
 		}
 	}
+	return dec, halted, err
 }
 
 // TestInterpDecodedMatchesReference proves the pre-decoded engine
@@ -62,13 +71,10 @@ func TestInterpDecodedMatchesReference(t *testing.T) {
 	for _, bm := range workload.Suite() {
 		bm := bm
 		t.Run(bm.Name, func(t *testing.T) {
-			prog := bm.Build()
-			ref, haltedRef, errRef := runEngine(t, prog, bm.MemSize, bm.MaxInsts, true)
-			dec, haltedDec, errDec := runEngine(t, prog, bm.MemSize, bm.MaxInsts, false)
-			if !haltedRef || errRef != nil {
-				t.Fatalf("reference run: halted=%v err=%v", haltedRef, errRef)
+			_, halted, err := diffEngines(t, bm.Name, bm.Build(), bm.MemSize, bm.MaxInsts)
+			if !halted || err != nil {
+				t.Fatalf("halted=%v err=%v", halted, err)
 			}
-			diffEngines(t, bm.Name, prog, dec, ref, haltedDec, haltedRef, errDec, errRef)
 		})
 	}
 }
@@ -137,13 +143,10 @@ func fusionProgram() *guest.Program {
 // both engines and demands identical results, proving fused pairs still
 // perform every architectural write and retire both instructions.
 func TestInterpFusionMatchesReference(t *testing.T) {
-	prog := fusionProgram()
-	ref, haltedRef, errRef := runEngine(t, prog, 4096, 1_000_000, true)
-	dec, haltedDec, errDec := runEngine(t, prog, 4096, 1_000_000, false)
-	if !haltedRef || errRef != nil {
-		t.Fatalf("reference run: halted=%v err=%v", haltedRef, errRef)
+	dec, halted, err := diffEngines(t, "fusion", fusionProgram(), 4096, 1_000_000)
+	if !halted || err != nil {
+		t.Fatalf("halted=%v err=%v", halted, err)
 	}
-	diffEngines(t, "fusion", prog, dec, ref, haltedDec, haltedRef, errDec, errRef)
 
 	// The program must actually contain fused ops, or this test proves
 	// nothing.
@@ -168,21 +171,16 @@ func TestInterpFusionMatchesReference(t *testing.T) {
 // faults, only the first instruction retires and the error matches the
 // reference exactly (the fault attribution contract of failBlock).
 func TestInterpFusedFaultRetirement(t *testing.T) {
-	build := func() *guest.Program {
-		b := guest.NewBuilder()
-		b.NewBlock()
-		b.Li(1, 1<<40) // way out of range
-		b.Addi(2, 1, 8)
-		b.Ld8(3, 2, 0) // fuses with the addi, then faults
-		b.Halt()
-		return b.MustProgram()
+	b := guest.NewBuilder()
+	b.NewBlock()
+	b.Li(1, 1<<40) // way out of range
+	b.Addi(2, 1, 8)
+	b.Ld8(3, 2, 0) // fuses with the addi, then faults
+	b.Halt()
+	dec, _, err := diffEngines(t, "fused-fault", b.MustProgram(), 256, 1_000_000)
+	if err == nil {
+		t.Fatal("run did not fault")
 	}
-	ref, haltedRef, errRef := runEngine(t, build(), 256, 1_000_000, true)
-	dec, haltedDec, errDec := runEngine(t, build(), 256, 1_000_000, false)
-	if errRef == nil {
-		t.Fatal("reference run did not fault")
-	}
-	diffEngines(t, "fused-fault", build(), dec, ref, haltedDec, haltedRef, errDec, errRef)
 	// li and addi retired; the faulting fused load did not.
 	if dec.DynInsts != 2 {
 		t.Fatalf("DynInsts = %d, want 2", dec.DynInsts)
@@ -194,23 +192,18 @@ func TestInterpFusedFaultRetirement(t *testing.T) {
 // written their destinations) but the access has not, and the error
 // matches the reference exactly.
 func TestInterpTripleFaultRetirement(t *testing.T) {
-	build := func() *guest.Program {
-		b := guest.NewBuilder()
-		b.NewBlock()
-		b.Li(1, 1<<37)
-		b.Li(2, 8)
-		b.Muli(3, 1, 8) // 1<<40
-		b.Add(3, 2, 3)
-		b.Ld8(4, 3, 0) // fuses into the triple, then faults
-		b.Halt()
-		return b.MustProgram()
+	b := guest.NewBuilder()
+	b.NewBlock()
+	b.Li(1, 1<<37)
+	b.Li(2, 8)
+	b.Muli(3, 1, 8) // 1<<40
+	b.Add(3, 2, 3)
+	b.Ld8(4, 3, 0) // fuses into the triple, then faults
+	b.Halt()
+	dec, _, err := diffEngines(t, "triple-fault", b.MustProgram(), 256, 1_000_000)
+	if err == nil {
+		t.Fatal("run did not fault")
 	}
-	ref, haltedRef, errRef := runEngine(t, build(), 256, 1_000_000, true)
-	dec, haltedDec, errDec := runEngine(t, build(), 256, 1_000_000, false)
-	if errRef == nil {
-		t.Fatal("reference run did not fault")
-	}
-	diffEngines(t, "triple-fault", build(), dec, ref, haltedDec, haltedRef, errDec, errRef)
 	// li, li, muli and add retired; the faulting fused load did not.
 	if dec.DynInsts != 4 {
 		t.Fatalf("DynInsts = %d, want 4", dec.DynInsts)
@@ -227,16 +220,8 @@ func TestInterpBadOpcode(t *testing.T) {
 			{Op: guest.Halt},
 		}}},
 	}
-	ref, _, errRef := runEngine(t, prog, 64, 1000, true)
-	dec, _, errDec := runEngine(t, prog, 64, 1000, false)
-	if errRef == nil || errDec == nil {
-		t.Fatalf("bad opcode not rejected: ref=%v dec=%v", errRef, errDec)
-	}
-	if errDec.Error() != errRef.Error() {
-		t.Fatalf("err %q, reference %q", errDec, errRef)
-	}
-	if dec.DynInsts != ref.DynInsts {
-		t.Fatalf("DynInsts=%d, reference %d", dec.DynInsts, ref.DynInsts)
+	if _, _, err := diffEngines(t, "bad-opcode", prog, 64, 1000); err == nil {
+		t.Fatal("bad opcode not rejected")
 	}
 }
 

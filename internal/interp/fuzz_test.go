@@ -1,11 +1,12 @@
 package interp
 
 import (
-	"math"
+	"fmt"
 	"math/rand"
 	"testing"
 
 	"smarq/internal/guest"
+	"smarq/internal/workload"
 )
 
 const fuzzMemSize = 1 << 14
@@ -152,57 +153,41 @@ func randomInterpProgram(rng *rand.Rand) *guest.Program {
 	return b.MustProgram()
 }
 
-// FuzzInterpDecoded is the engine-level differential fuzz: the decoded
-// threaded interpreter versus the guest.Exec reference on the same random
-// program, compared on halt/error outcome, retirement count, both
-// register files (floats bit-compared, so NaN payloads count), the memory
-// digest, and the full profile. Any decode, fusion, or retirement bug
-// anywhere in the fast path shows up as a divergence here.
-func FuzzInterpDecoded(f *testing.F) {
-	for _, seed := range []int64{1, 42, 1000, 31337} {
-		f.Add(seed)
-	}
-	f.Fuzz(func(t *testing.T, seed int64) {
-		build := func() *guest.Program {
-			return randomInterpProgram(rand.New(rand.NewSource(seed)))
-		}
-		prog := build()
-		ref, haltedRef, errRef := runEngine(t, prog, fuzzMemSize, 3_000_000, true)
-		dec, haltedDec, errDec := runEngine(t, build(), fuzzMemSize, 3_000_000, false)
+// randomInterpSeeds are the generator seeds of the regression test below
+// and, encoded, of the fuzz corpus.
+var randomInterpSeeds = []int64{1, 42, 1000, 31337}
 
-		if haltedDec != haltedRef {
-			t.Fatalf("seed %d: halted=%v, reference %v", seed, haltedDec, haltedRef)
+// TestInterpRandomSeeds runs the generator's fixed seeds through both
+// engines, so the random-program shapes stay covered by plain `go test`.
+func TestInterpRandomSeeds(t *testing.T) {
+	for _, seed := range randomInterpSeeds {
+		prog := randomInterpProgram(rand.New(rand.NewSource(seed)))
+		diffEngines(t, fmt.Sprintf("seed %d", seed), prog, fuzzMemSize, 3_000_000)
+	}
+}
+
+// FuzzInterpDecoded is the engine-level differential fuzz over encoded
+// guest programs: Run on the decoded engine versus the guest.Exec
+// reference, compared by diffEngines. The corpus is the encoded random
+// programs plus the encoded workload suite, so the mutator works on real
+// program structure; input that does not decode is skipped, and the
+// instruction budget bounds programs that loop forever. Any decode,
+// fusion, or retirement bug anywhere in the fast path shows up as a
+// divergence here.
+func FuzzInterpDecoded(f *testing.F) {
+	memSize := fuzzMemSize
+	for _, seed := range randomInterpSeeds {
+		f.Add(guest.EncodeProgram(randomInterpProgram(rand.New(rand.NewSource(seed)))))
+	}
+	for _, bm := range workload.Suite() {
+		f.Add(guest.EncodeProgram(bm.Build()))
+		memSize = max(memSize, bm.MemSize)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		prog, err := guest.DecodeProgram(data)
+		if err != nil {
+			return
 		}
-		switch {
-		case (errDec == nil) != (errRef == nil):
-			t.Fatalf("seed %d: err=%v, reference %v", seed, errDec, errRef)
-		case errDec != nil && errDec.Error() != errRef.Error():
-			t.Fatalf("seed %d: err %q, reference %q", seed, errDec, errRef)
-		}
-		if dec.DynInsts != ref.DynInsts {
-			t.Fatalf("seed %d: DynInsts=%d, reference %d", seed, dec.DynInsts, ref.DynInsts)
-		}
-		for r := 0; r < guest.NumRegs; r++ {
-			if dec.St.R[r] != ref.St.R[r] {
-				t.Fatalf("seed %d: r%d = %#x, reference %#x", seed, r, dec.St.R[r], ref.St.R[r])
-			}
-			if d, w := math.Float64bits(dec.St.F[r]), math.Float64bits(ref.St.F[r]); d != w {
-				t.Fatalf("seed %d: f%d bits %#x, reference %#x", seed, r, d, w)
-			}
-		}
-		if d, r := dec.Mem.Digest(), ref.Mem.Digest(); d != r {
-			t.Fatalf("seed %d: memory digest %#x, reference %#x", seed, d, r)
-		}
-		for id := range prog.Blocks {
-			if dec.Prof.BlockCounts[id] != ref.Prof.BlockCounts[id] {
-				t.Fatalf("seed %d: B%d count %d, reference %d", seed, id,
-					dec.Prof.BlockCounts[id], ref.Prof.BlockCounts[id])
-			}
-			for _, succ := range prog.Blocks[id].Successors() {
-				if d, r := dec.Prof.EdgeCount(id, succ), ref.Prof.EdgeCount(id, succ); d != r {
-					t.Fatalf("seed %d: edge B%d->B%d count %d, reference %d", seed, id, succ, d, r)
-				}
-			}
-		}
+		diffEngines(t, "fuzz", prog, memSize, 3_000_000)
 	})
 }

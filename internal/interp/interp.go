@@ -9,8 +9,8 @@
 // steer region formation toward the most likely successor).
 //
 // Since interpretation is the floor under every warmup and every fallback
-// from translated code, the package ships two engines over the same
-// architectural state:
+// from translated code, RunBlock executes one block on one of two engines
+// over the same architectural state:
 //
 //   - the pre-decoded engine (the default): each block is decoded once into
 //     a flat []decInst value-struct array — access sizes resolved, float
@@ -21,9 +21,11 @@
 //     guest.Exec switch, kept as the single source of truth for guest
 //     semantics.
 //
-// TestInterpDecodedMatchesReference and FuzzInterpDecoded prove the two
-// engines bit-identical (registers, memory, profile, retirement counts,
-// errors).
+// Run is a budgeted loop over RunBlock, so whole-program runs, the dynamic
+// optimization system and the benchmark replay all execute the same decoded
+// loop. TestInterpDecodedMatchesReference and FuzzInterpDecoded prove it
+// bit-identical to the reference (registers, memory, profile, retirement
+// counts, errors).
 package interp
 
 import (
@@ -523,332 +525,22 @@ func (it *Interpreter) runBlockRef(id int) (int, error) {
 // Run interprets from the entry block until the guest halts or the
 // instruction budget is exhausted. It reports whether the guest halted.
 //
-// The budget is a soft cap checked between blocks: a run may overshoot
-// maxInsts by at most the size of the final block executed (blocks are the
-// unit of retirement; clamping mid-block would make budget-capped profiles
-// depend on where the cap fell inside a block). dynopt.System.Run documents
-// the same contract at region granularity.
-//
-// Used for reference runs; the dynamic optimization system drives RunBlock
-// itself so it can switch between interpretation and translated regions.
+// Run is a plain loop over RunBlock, so it executes on the same engine the
+// dynamic optimization system drives block by block (the decoded one, or
+// the guest.Exec reference when Ref is set). The budget is a soft cap
+// checked between blocks: a run may overshoot maxInsts by at most the size
+// of the final block executed (blocks are the unit of retirement; clamping
+// mid-block would make budget-capped profiles depend on where the cap fell
+// inside a block). dynopt.System.Run documents the same contract at region
+// granularity.
 func (it *Interpreter) Run(entry int, maxInsts uint64) (halted bool, err error) {
-	if !it.Ref {
-		return it.runDecoded(entry, maxInsts)
-	}
-	id := entry
-	for id != HaltID {
+	for id := entry; id != HaltID; {
 		if it.DynInsts >= maxInsts {
 			return false, nil
 		}
-		id, err = it.RunBlock(id)
-		if err != nil {
+		if id, err = it.RunBlock(id); err != nil {
 			return false, err
 		}
 	}
 	return true, nil
-}
-
-// runDecoded is Run fused with the decoded RunBlock: the architectural
-// state, memory slice and retirement counter are hoisted into locals once
-// and stay in registers across block boundaries, so short-block programs
-// don't pay a call, slice construction and two counter flushes per block.
-// Semantics are identical to the RunBlock-at-a-time loop above — same
-// between-blocks budget contract, same profile writes, same errors — and
-// the differential tests run both paths.
-func (it *Interpreter) runDecoded(entry int, maxInsts uint64) (bool, error) {
-	d := &it.dec
-	st := it.St
-	r := &st.R
-	f := &st.F
-	data := it.Mem.Bytes()
-	prof := it.Prof
-	start := it.DynInsts
-	dyn := it.DynInsts
-	id := entry
-	for {
-		if dyn >= maxInsts {
-			it.DynInsts = dyn
-			it.Insts.Add(int64(dyn - start))
-			return false, nil
-		}
-		if uint(id) >= uint(len(d.blocks)) {
-			it.DynInsts = dyn
-			it.Insts.Add(int64(dyn - start))
-			return false, fmt.Errorf("interp: no block %d", id)
-		}
-		prof.BlockCounts[id]++
-		b := d.blocks[id]
-		code := d.code[b.start:b.end:b.end]
-		next := int(b.fall)
-		slot := uint8(slotFall)
-		for i := 0; i < len(code); i++ {
-			in := &code[i]
-			switch in.op {
-			case dNop:
-			case dLi:
-				r[in.rd&regMask] = in.imm
-			case dMov:
-				r[in.rd&regMask] = r[in.rs1&regMask]
-			case dAdd:
-				r[in.rd&regMask] = r[in.rs1&regMask] + r[in.rs2&regMask]
-			case dSub:
-				r[in.rd&regMask] = r[in.rs1&regMask] - r[in.rs2&regMask]
-			case dMul:
-				r[in.rd&regMask] = r[in.rs1&regMask] * r[in.rs2&regMask]
-			case dDiv:
-				if r[in.rs2&regMask] == 0 {
-					r[in.rd&regMask] = 0
-				} else {
-					r[in.rd&regMask] = r[in.rs1&regMask] / r[in.rs2&regMask]
-				}
-			case dAnd:
-				r[in.rd&regMask] = r[in.rs1&regMask] & r[in.rs2&regMask]
-			case dOr:
-				r[in.rd&regMask] = r[in.rs1&regMask] | r[in.rs2&regMask]
-			case dXor:
-				r[in.rd&regMask] = r[in.rs1&regMask] ^ r[in.rs2&regMask]
-			case dShl:
-				r[in.rd&regMask] = r[in.rs1&regMask] << (uint64(r[in.rs2&regMask]) & 63)
-			case dShr:
-				r[in.rd&regMask] = r[in.rs1&regMask] >> (uint64(r[in.rs2&regMask]) & 63)
-			case dAddi:
-				r[in.rd&regMask] = r[in.rs1&regMask] + in.imm
-			case dMuli:
-				r[in.rd&regMask] = r[in.rs1&regMask] * in.imm
-			case dSlt:
-				v := int64(0)
-				if r[in.rs1&regMask] < r[in.rs2&regMask] {
-					v = 1
-				}
-				r[in.rd&regMask] = v
-			case dFLi:
-				f[in.rd&regMask] = math.Float64frombits(uint64(in.imm))
-			case dFMov:
-				f[in.rd&regMask] = f[in.rs1&regMask]
-			case dFAdd:
-				f[in.rd&regMask] = f[in.rs1&regMask] + f[in.rs2&regMask]
-			case dFSub:
-				f[in.rd&regMask] = f[in.rs1&regMask] - f[in.rs2&regMask]
-			case dFMul:
-				f[in.rd&regMask] = f[in.rs1&regMask] * f[in.rs2&regMask]
-			case dFDiv:
-				f[in.rd&regMask] = f[in.rs1&regMask] / f[in.rs2&regMask]
-			case dFNeg:
-				f[in.rd&regMask] = -f[in.rs1&regMask]
-			case dFAbs:
-				f[in.rd&regMask] = math.Abs(f[in.rs1&regMask])
-			case dFSqrt:
-				f[in.rd&regMask] = math.Sqrt(f[in.rs1&regMask])
-			case dCvtIF:
-				f[in.rd&regMask] = float64(r[in.rs1&regMask])
-			case dCvtFI:
-				r[in.rd&regMask] = int64(f[in.rs1&regMask])
-			case dLd1:
-				v, ok := guest.MemLoad1(data, uint64(r[in.rs1&regMask]+in.imm))
-				if !ok {
-					return false, it.failRun(id, in.gi, start, dyn)
-				}
-				r[in.rd&regMask] = int64(v)
-			case dLd2:
-				v, ok := guest.MemLoad2(data, uint64(r[in.rs1&regMask]+in.imm))
-				if !ok {
-					return false, it.failRun(id, in.gi, start, dyn)
-				}
-				r[in.rd&regMask] = int64(v)
-			case dLd4:
-				v, ok := guest.MemLoad4(data, uint64(r[in.rs1&regMask]+in.imm))
-				if !ok {
-					return false, it.failRun(id, in.gi, start, dyn)
-				}
-				r[in.rd&regMask] = int64(v)
-			case dLd8:
-				v, ok := guest.MemLoad8(data, uint64(r[in.rs1&regMask]+in.imm))
-				if !ok {
-					return false, it.failRun(id, in.gi, start, dyn)
-				}
-				r[in.rd&regMask] = int64(v)
-			case dSt1:
-				if !guest.MemStore1(data, uint64(r[in.rs1&regMask]+in.imm), uint64(r[in.rd&regMask])) {
-					return false, it.failRun(id, in.gi, start, dyn)
-				}
-			case dSt2:
-				if !guest.MemStore2(data, uint64(r[in.rs1&regMask]+in.imm), uint64(r[in.rd&regMask])) {
-					return false, it.failRun(id, in.gi, start, dyn)
-				}
-			case dSt4:
-				if !guest.MemStore4(data, uint64(r[in.rs1&regMask]+in.imm), uint64(r[in.rd&regMask])) {
-					return false, it.failRun(id, in.gi, start, dyn)
-				}
-			case dSt8:
-				if !guest.MemStore8(data, uint64(r[in.rs1&regMask]+in.imm), uint64(r[in.rd&regMask])) {
-					return false, it.failRun(id, in.gi, start, dyn)
-				}
-			case dFLd8:
-				v, ok := guest.MemLoad8(data, uint64(r[in.rs1&regMask]+in.imm))
-				if !ok {
-					return false, it.failRun(id, in.gi, start, dyn)
-				}
-				f[in.rd&regMask] = math.Float64frombits(v)
-			case dFSt8:
-				if !guest.MemStore8(data, uint64(r[in.rs1&regMask]+in.imm), math.Float64bits(f[in.rd&regMask])) {
-					return false, it.failRun(id, in.gi, start, dyn)
-				}
-			case dBeq:
-				if r[in.rs1&regMask] == r[in.rs2&regMask] {
-					next, slot = int(in.target), in.slot
-				}
-			case dBne:
-				if r[in.rs1&regMask] != r[in.rs2&regMask] {
-					next, slot = int(in.target), in.slot
-				}
-			case dBlt:
-				if r[in.rs1&regMask] < r[in.rs2&regMask] {
-					next, slot = int(in.target), in.slot
-				}
-			case dBge:
-				if r[in.rs1&regMask] >= r[in.rs2&regMask] {
-					next, slot = int(in.target), in.slot
-				}
-			case dJmp:
-				next, slot = int(in.target), in.slot
-			case dHalt:
-				dyn++
-				it.DynInsts = dyn
-				it.Insts.Add(int64(dyn - start))
-				return true, nil
-			case dSltBeq:
-				v := int64(0)
-				if r[in.rs1&regMask] < r[in.rs2&regMask] {
-					v = 1
-				}
-				r[in.rd&regMask] = v
-				dyn++
-				if r[in.fd&regMask] == r[in.fs&regMask] {
-					next, slot = int(in.target), in.slot
-				}
-			case dSltBne:
-				v := int64(0)
-				if r[in.rs1&regMask] < r[in.rs2&regMask] {
-					v = 1
-				}
-				r[in.rd&regMask] = v
-				dyn++
-				if r[in.fd&regMask] != r[in.fs&regMask] {
-					next, slot = int(in.target), in.slot
-				}
-			case dAddiLd1:
-				a := r[in.rs1&regMask] + in.imm
-				r[in.rd&regMask] = a
-				v, ok := guest.MemLoad1(data, uint64(a+in.imm2))
-				if !ok {
-					return false, it.failRun(id, in.gi, start, dyn+1)
-				}
-				r[in.fd&regMask] = int64(v)
-				dyn++
-			case dAddiLd2:
-				a := r[in.rs1&regMask] + in.imm
-				r[in.rd&regMask] = a
-				v, ok := guest.MemLoad2(data, uint64(a+in.imm2))
-				if !ok {
-					return false, it.failRun(id, in.gi, start, dyn+1)
-				}
-				r[in.fd&regMask] = int64(v)
-				dyn++
-			case dAddiLd4:
-				a := r[in.rs1&regMask] + in.imm
-				r[in.rd&regMask] = a
-				v, ok := guest.MemLoad4(data, uint64(a+in.imm2))
-				if !ok {
-					return false, it.failRun(id, in.gi, start, dyn+1)
-				}
-				r[in.fd&regMask] = int64(v)
-				dyn++
-			case dAddiLd8:
-				a := r[in.rs1&regMask] + in.imm
-				r[in.rd&regMask] = a
-				v, ok := guest.MemLoad8(data, uint64(a+in.imm2))
-				if !ok {
-					return false, it.failRun(id, in.gi, start, dyn+1)
-				}
-				r[in.fd&regMask] = int64(v)
-				dyn++
-			case dAddiFLd8:
-				a := r[in.rs1&regMask] + in.imm
-				r[in.rd&regMask] = a
-				v, ok := guest.MemLoad8(data, uint64(a+in.imm2))
-				if !ok {
-					return false, it.failRun(id, in.gi, start, dyn+1)
-				}
-				f[in.fd&regMask] = math.Float64frombits(v)
-				dyn++
-			case dMuliAdd:
-				t := r[in.rs1&regMask] * in.imm
-				r[in.rd&regMask] = t
-				r[in.fd&regMask] = r[in.rs2&regMask] + t
-				dyn++
-			case dMuliAddLd8:
-				t := r[in.rs1&regMask] * in.imm
-				r[in.rd&regMask] = t
-				s := r[in.rs2&regMask] + t
-				r[in.fd&regMask] = s
-				v, ok := guest.MemLoad8(data, uint64(s+in.imm2))
-				if !ok {
-					return false, it.failRun(id, in.gi, start, dyn+2)
-				}
-				r[in.fs&regMask] = int64(v)
-				dyn += 2
-			case dMuliAddFLd8:
-				t := r[in.rs1&regMask] * in.imm
-				r[in.rd&regMask] = t
-				s := r[in.rs2&regMask] + t
-				r[in.fd&regMask] = s
-				v, ok := guest.MemLoad8(data, uint64(s+in.imm2))
-				if !ok {
-					return false, it.failRun(id, in.gi, start, dyn+2)
-				}
-				f[in.fs&regMask] = math.Float64frombits(v)
-				dyn += 2
-			case dMuliAddSt8:
-				t := r[in.rs1&regMask] * in.imm
-				r[in.rd&regMask] = t
-				s := r[in.rs2&regMask] + t
-				r[in.fd&regMask] = s
-				if !guest.MemStore8(data, uint64(s+in.imm2), uint64(r[in.fs&regMask])) {
-					return false, it.failRun(id, in.gi, start, dyn+2)
-				}
-				dyn += 2
-			case dMuliAddFSt8:
-				t := r[in.rs1&regMask] * in.imm
-				r[in.rd&regMask] = t
-				s := r[in.rs2&regMask] + t
-				r[in.fd&regMask] = s
-				if !guest.MemStore8(data, uint64(s+in.imm2), math.Float64bits(f[in.fs&regMask])) {
-					return false, it.failRun(id, in.gi, start, dyn+2)
-				}
-				dyn += 2
-			default: // dBad
-				return false, it.failRun(id, in.gi, start, dyn)
-			}
-			dyn++
-		}
-		c := &prof.succs[id][slot]
-		c.id = int32(next)
-		c.n++
-		id = next
-	}
-}
-
-// failRun is runDecoded's cold fault path: it flushes the retirement
-// counters (dyn counts every instruction retired before the faulting one)
-// and reproduces the reference error exactly like failBlock.
-//
-//go:noinline
-func (it *Interpreter) failRun(id int, gi int32, start, dyn uint64) error {
-	it.DynInsts = dyn
-	it.Insts.Add(int64(dyn - start))
-	in := it.Prog.Blocks[id].Insts[gi]
-	if _, err := guest.Exec(in, it.St, it.Mem); err != nil {
-		return fmt.Errorf("interp: B%d %s: %w", id, in, err)
-	}
-	return fmt.Errorf("interp: B%d %s: decoded fault not reproduced by reference", id, in)
 }
