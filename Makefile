@@ -20,8 +20,9 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Everything CI gates on, runnable locally in one shot.
-ci: build test fmt-check bench-smoke trace-smoke analyze-smoke
+# Every CI gate that runs offline and without the race detector, in one
+# shot. CI additionally runs lint, race, fuzz-smoke and fleet-smoke.
+ci: build test fmt-check bench-smoke trace-smoke analyze-smoke bench-check chaos-smoke
 
 # Static analysis and known-vulnerability scan. Tool versions are pinned
 # so the gate is reproducible; `go run pkg@version` fetches them into the

@@ -539,7 +539,7 @@ func BenchmarkMemoHit(b *testing.B) {
 		}
 		return k
 	}
-	memo := compilequeue.NewMemo[*vliw.CompiledRegion]()
+	memo := compilequeue.NewMemoCap[*vliw.CompiledRegion](0)
 	memo.Put(key(), &vliw.CompiledRegion{})
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -240,8 +240,13 @@ func ingestFile(path string, runs map[string]*RunReport) error {
 		if err := json.Unmarshal([]byte(line), &e); err != nil {
 			return fmt.Errorf("%s:%d: %w (is this a JSONL trace? chrome traces are not analyzable)", path, lineNo, err)
 		}
-		if e.Cycle < 0 {
+		switch {
+		case e.Cycle < 0:
 			return fmt.Errorf("%s:%d: negative cycle %d", path, lineNo, e.Cycle)
+		case e.Cost < 0:
+			return fmt.Errorf("%s:%d: negative cost %d", path, lineNo, e.Cost)
+		case e.Depth != nil && *e.Depth < 0:
+			return fmt.Errorf("%s:%d: negative depth %d", path, lineNo, *e.Depth)
 		}
 		key := base
 		if e.Run != 0 {
@@ -251,6 +256,12 @@ func ingestFile(path string, runs map[string]*RunReport) error {
 		if rr == nil {
 			rr = newRunReport(key)
 			runs[key] = rr
+		}
+		// A run's events are emitted in simulated-cycle order, so its
+		// running maximum is the previous event's cycle.
+		if e.Cycle < rr.TotalCycles {
+			return fmt.Errorf("%s:%d: cycle %d is before the previous event's cycle %d in run %s",
+				path, lineNo, e.Cycle, rr.TotalCycles, key)
 		}
 		rr.ingest(&e)
 	}

@@ -266,20 +266,58 @@ func TestErrors(t *testing.T) {
 			t.Errorf("stderr does not pinpoint the line: %s", errb.String())
 		}
 	})
-	t.Run("negative cycle names file and line", func(t *testing.T) {
-		path := writeTrace(t, "neg.jsonl", negativeCycleTrace...)
-		var errb bytes.Buffer
-		if code := run([]string{path}, &bytes.Buffer{}, &errb); code != 1 {
-			t.Errorf("exit %d, want 1", code)
-		}
-		if !strings.Contains(errb.String(), "neg.jsonl:1: negative cycle -100") {
-			t.Errorf("stderr does not pinpoint the line: %s", errb.String())
+	for _, tc := range []struct {
+		name  string
+		trace []string
+		want  string
+	}{
+		{"negative cycle", negativeCycleTrace, "bad.jsonl:1: negative cycle -100"},
+		{"negative cost", negativeCostTrace, "bad.jsonl:1: negative cost -1000"},
+		{"negative depth", []string{`{"ev":"compile-enqueue","cycle":5,"region":1,"depth":-3}`},
+			"bad.jsonl:1: negative depth -3"},
+		{"cycle going back", backwardsTrace, "bad.jsonl:2: cycle 0 is before the previous event's cycle 100000"},
+	} {
+		t.Run(tc.name+" names file and line", func(t *testing.T) {
+			path := writeTrace(t, "bad.jsonl", tc.trace...)
+			var errb bytes.Buffer
+			if code := run([]string{path}, &bytes.Buffer{}, &errb); code != 1 {
+				t.Errorf("exit %d, want 1", code)
+			}
+			if !strings.Contains(errb.String(), tc.want) {
+				t.Errorf("stderr does not pinpoint the line: %s", errb.String())
+			}
+		})
+	}
+	t.Run("runs keep separate clocks", func(t *testing.T) {
+		path := writeTrace(t, "runs.jsonl",
+			`{"cycle":900,"ev":"commit","run":1,"region":1,"cost":4}`,
+			`{"cycle":10,"ev":"commit","run":2,"region":1,"cost":4}`)
+		if code := run([]string{path}, io.Discard, io.Discard); code != 0 {
+			t.Errorf("exit %d, want 0: interleaved runs are each in order", code)
 		}
 	})
 }
 
-// negativeCycleTrace used to index a timeline bucket at -800.
-var negativeCycleTrace = []string{`{"ev":"compile","cycle":-100,"region":1}`}
+// negativeCycleTrace used to index a timeline bucket at -800;
+// negativeCostTrace used to attribute -1000 cycles to execution.
+var (
+	negativeCycleTrace = []string{`{"ev":"compile","cycle":-100,"region":1}`}
+	negativeCostTrace  = []string{`{"cycle":10,"ev":"commit","cost":-1000}`}
+)
+
+// backwardsTrace's rollbacks go back in time; storm detection used to
+// report an interval with start 100000 > end 60.
+var backwardsTrace = []string{
+	`{"cycle":100000,"ev":"rollback","region":1,"cost":1}`,
+	`{"cycle":0,"ev":"rollback","region":1,"cost":1}`,
+	`{"cycle":10,"ev":"rollback","region":1,"cost":1}`,
+	`{"cycle":20,"ev":"rollback","region":1,"cost":1}`,
+	`{"cycle":30,"ev":"rollback","region":1,"cost":1}`,
+	`{"cycle":40,"ev":"rollback","region":1,"cost":1}`,
+	`{"cycle":50,"ev":"rollback","region":1,"cost":1}`,
+	`{"cycle":60,"ev":"rollback","region":1,"cost":1}`,
+	`{"cycle":70,"ev":"rollback","region":1,"cost":1}`,
+}
 
 // hugeCycleTrace used to overflow cycle*buckets and index bucket -15;
 // hugeDepthTrace used to overflow the sparkline's level scaling.
@@ -314,7 +352,8 @@ func TestHugeValues(t *testing.T) {
 // malformed input must be reported, never panic. The text and JSON report
 // paths both run.
 func FuzzAnalyzeTrace(f *testing.F) {
-	for _, trace := range [][]string{syntheticTrace, negativeCycleTrace, hugeCycleTrace, hugeDepthTrace} {
+	for _, trace := range [][]string{syntheticTrace, negativeCycleTrace, hugeCycleTrace, hugeDepthTrace,
+		negativeCostTrace, backwardsTrace} {
 		f.Add([]byte(strings.Join(trace, "\n") + "\n"))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {

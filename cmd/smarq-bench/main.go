@@ -145,7 +145,10 @@ func main() {
 	var traceOut *os.File
 	var registry *telemetry.Registry
 	if *traceFile != "" {
-		f, err := os.Create(*traceFile)
+		// Write-only (os.Create opens read-write), so a pipe behind
+		// "-trace /dev/stderr" breaks when its reader exits instead of
+		// blocking the run once the pipe fills.
+		f, err := os.OpenFile(*traceFile, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o666)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "smarq-bench:", err)
 			os.Exit(1)

@@ -13,15 +13,17 @@
 //
 // -trace streams cycle-stamped runtime events to a file (jsonl for
 // diffable line-oriented output, chrome for a Perfetto-loadable
-// timeline); -metrics snapshots the aggregate counters and histograms to
-// JSON after the run; -listen serves the observability endpoints
-// (/metrics in Prometheus or JSON form, /healthz, /debug/cache,
-// /debug/tenants, /debug/pprof) over HTTP for the duration of the run —
-// useful for long chaos soaks. -chaos-host extends the chaos mix with host fault
-// classes (compile-worker panics, hangs, poisoned results, memo
-// pressure); -health arms the graceful-degradation controller. See
-// DESIGN.md ("Telemetry"; "Host fault domains and the health
-// controller").
+// timeline). Every compile, alias exception, rollback, tier move, drop
+// and eviction is one event; "-trace /dev/stderr" follows them during
+// the run, written in ring-sized batches and at exit. -metrics snapshots
+// the aggregate counters and histograms to JSON after the run; -listen
+// serves the observability endpoints (/metrics in Prometheus or JSON
+// form, /healthz, /debug/cache, /debug/tenants, /debug/pprof) over HTTP
+// for the duration of the run — useful for long chaos soaks. -chaos-host
+// extends the chaos mix with host fault classes (compile-worker panics,
+// hangs, poisoned results, memo pressure); -health arms the
+// graceful-degradation controller. See DESIGN.md ("Telemetry"; "Host
+// fault domains and the health controller").
 package main
 
 import (
@@ -58,7 +60,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	file := fs.String("file", "", "run a guest assembly (.s) or binary (.bin) file instead of a benchmark")
 	config := fs.String("config", "smarq64", "configuration: smarq<N>, alat, efficeon, nohw, nostorereorder")
 	regions := fs.Bool("regions", false, "print per-region statistics")
-	events := fs.Bool("events", false, "print runtime events as text lines (compiles, exceptions, drops)")
 	traceFile := fs.String("trace", "", "write a cycle-stamped event trace to this file")
 	traceFormat := fs.String("trace-format", "jsonl", "trace encoding: jsonl or chrome (Perfetto-loadable)")
 	metricsFile := fs.String("metrics", "", "write a JSON metrics snapshot (counters + histograms) to this file")
@@ -182,11 +183,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "smarq-run:", err)
 		return 2
 	}
-	if *events {
-		cfg.Trace = func(format string, args ...interface{}) {
-			fmt.Fprintf(stderr, "trace: "+format+"\n", args...)
-		}
-	}
 
 	// Telemetry wiring: each enabled surface is independent; both off
 	// leaves cfg.Telemetry nil and the whole layer a dead nil check.
@@ -194,7 +190,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	var tracer *telemetry.Tracer
 	var traceOut *os.File
 	if *traceFile != "" {
-		f, err := os.Create(*traceFile)
+		// Write-only (os.Create opens read-write), so a pipe behind
+		// "-trace /dev/stderr" breaks when its reader exits instead of
+		// blocking the run once the pipe fills.
+		f, err := os.OpenFile(*traceFile, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o666)
 		if err != nil {
 			fmt.Fprintln(stderr, "smarq-run:", err)
 			return 1

@@ -156,9 +156,6 @@ type memoNode[V any] struct {
 	prev, next *memoNode[V]
 }
 
-// NewMemo returns an empty, unbounded memo table.
-func NewMemo[V any]() *Memo[V] { return NewMemoCap[V](0) }
-
 // NewMemoCap returns an empty memo table holding at most capacity entries
 // (<= 0 means unbounded). Inserting past capacity evicts the least
 // recently used entry.

@@ -115,7 +115,7 @@ func TestKeySensitiveToEveryFold(t *testing.T) {
 }
 
 func TestMemoCountsHitsAndMisses(t *testing.T) {
-	m := NewMemo[string]()
+	m := NewMemoCap[string](0)
 	k1 := NewKey().Int(1)
 	k2 := NewKey().Int(2)
 
@@ -183,7 +183,7 @@ func TestMemoCapacityEvictsLRU(t *testing.T) {
 // empty table is a no-op, otherwise the coldest entry goes and is counted
 // as an eviction.
 func TestMemoDropOldest(t *testing.T) {
-	m := NewMemo[int]() // unbounded: evictions only via DropOldest
+	m := NewMemoCap[int](0) // unbounded: evictions only via DropOldest
 	if m.DropOldest() {
 		t.Error("DropOldest on an empty memo reported an eviction")
 	}

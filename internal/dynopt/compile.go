@@ -614,17 +614,14 @@ func (s *System) drawHostFaults(entry int, withHang bool) (panicInject, hang boo
 	now, tier := s.now(), s.tierOf(entry)
 	if hang {
 		s.tel.chaosInjected(now, entry, tier, telemetry.CauseWatchdog)
-		s.trace("injected compile hang for B%d", entry)
 		return false, true, faultinject.PoisonNone
 	}
 	if panicInject {
 		s.tel.chaosInjected(now, entry, tier, telemetry.CauseWorkerPanic)
-		s.trace("injected compile-worker panic for B%d", entry)
 		return true, false, faultinject.PoisonNone
 	}
 	if poison != faultinject.PoisonNone {
 		s.tel.chaosInjected(now, entry, tier, telemetry.CausePoison)
-		s.trace("injected poisoned compile result for B%d", entry)
 	}
 	return false, false, poison
 }
@@ -733,7 +730,6 @@ func (s *System) startCompile(entry int) error {
 	// Every chaos draw happens on the simulation thread, so the injector's
 	// sequence is independent of the worker count.
 	if s.inj != nil && s.inj.CompileFail() {
-		s.trace("injected compile failure for B%d", entry)
 		s.tel.chaosInjected(s.now(), entry, s.tierOf(entry), telemetry.CauseCompileFail)
 		return fmt.Errorf("%w for B%d", errInjectedCompileFail, entry)
 	}
@@ -788,7 +784,6 @@ func (s *System) startCompile(entry int) error {
 		s.Stats.Compile.MaxQueueDepth = depth
 	}
 	s.tel.compileEnqueue(now, entry, s.tierOf(entry), cost, depth, p.memoHit)
-	s.trace("enqueue compile B%d: ready at cycle %d (cost %d, depth %d)", entry, p.readyAt, cost, depth)
 	return nil
 }
 
@@ -804,7 +799,6 @@ func (s *System) lookupCompiled(p *pendingCompile, in *compileInput) {
 		if s.inj != nil && s.inj.MemoPressure() && s.memo.DropOldest() {
 			s.tel.chaosInjected(s.now(), p.entry, s.tierOf(p.entry), telemetry.CauseMemoPressure)
 			s.tel.memoTable(s.memo.Len(), s.memo.Evictions())
-			s.trace("injected memo pressure: dropped LRU entry (%d left)", s.memo.Len())
 		}
 		p.key = s.memoKey(in)
 		p.out, p.memoHit = s.memo.Get(p.key)
@@ -909,7 +903,6 @@ func (s *System) cancelPending(entry int, cause telemetry.Cause) {
 	}
 	s.Stats.Compile.Canceled++
 	s.tel.compileCancel(s.now(), entry, s.tierOf(entry), cause, len(bg.pending))
-	s.trace("cancel pending compile B%d (%s)", entry, cause)
 }
 
 // drainCompiles installs every pending compilation whose event time the
@@ -952,7 +945,6 @@ func (s *System) installPending(p *pendingCompile) {
 		s.tel.compileInstalled(p.deadline-p.enqueuedAt, len(bg.pending))
 		s.recordHostFault(p.entry, telemetry.CauseWatchdog)
 		s.compileFailed(p.entry, p.recompile, errWatchdogTimeout)
-		s.trace("watchdog killed compile B%d at its deadline (cycle %d)", p.entry, p.deadline)
 		return
 	}
 	latency := s.now() - p.enqueuedAt
@@ -969,7 +961,6 @@ func (s *System) installPending(p *pendingCompile) {
 			s.Stats.Compile.Failed++
 		}
 		s.compileFailed(p.entry, p.recompile, err)
-		s.trace("compile of B%d failed: %v", p.entry, err)
 		return
 	}
 	if s.memo != nil && !p.memoHit {
@@ -1015,13 +1006,9 @@ func (s *System) installOutput(entry int, out *compileOutput, latency int64) {
 	recompile := s.disp[entry].code != nil
 	if recompile {
 		s.Stats.Recompiles++
-		s.trace("recompile B%d: %d ops, %d cycles, tier=%s", entry, out.seqLen, out.cr.Cycles, rr.tier)
 	} else {
 		s.evictForCapacity(entry)
 		s.Stats.RegionsCompiled++
-		s.trace("compile B%d: %d guest insts -> %d ops, %d cycles, %d mem ops, P=%d C=%d ws=%d",
-			entry, out.guestInsts, out.seqLen, out.cr.Cycles, out.memOps,
-			out.alloc.PBits, out.alloc.CBits, out.alloc.WorkingSet)
 	}
 	s.setCode(entry, &compiled{
 		cr: out.cr, lastUse: s.entrySeq,

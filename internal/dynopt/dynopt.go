@@ -66,15 +66,12 @@ type Config struct {
 	// Ablation switches off individual SMARQ design elements for the
 	// ablation studies (zero value = the full system).
 	Ablation Ablation
-	// Trace, when non-nil, receives one line per runtime event
-	// (compilation, alias exception, tier change, eviction) — the
-	// observability hook for debugging translated workloads.
-	Trace func(format string, args ...interface{})
 	// Telemetry, when non-nil, enables the structured observability
-	// layer: cycle-stamped events into Telemetry.Events and aggregate
+	// layer: cycle-stamped events (every compile, alias exception, tier
+	// change, eviction and drop) into Telemetry.Events and aggregate
 	// counters/histograms into Telemetry.Metrics (either may be nil to
-	// enable just one surface). Unlike Trace this path never formats and
-	// never allocates on the hot path; see internal/telemetry.
+	// enable just one surface). The path never formats and never
+	// allocates on the hot path; see internal/telemetry.
 	Telemetry *telemetry.Telemetry
 	// Compile configures asynchronous background compilation and
 	// content-hash memoization (compile.go). The zero value is the legacy
@@ -539,14 +536,6 @@ func (s *System) evictForCapacity(entry int) {
 		s.dropCode(victim)
 		s.Stats.Recovery.Evictions++
 		s.tel.evict(s.now(), victim, s.tierOf(victim))
-		s.trace("evict B%d from the code cache (capacity %d)", victim, cap)
-	}
-}
-
-// trace emits a runtime event line when tracing is enabled.
-func (s *System) trace(format string, args ...interface{}) {
-	if s.cfg.Trace != nil {
-		s.cfg.Trace(format, args...)
 	}
 }
 
@@ -608,7 +597,6 @@ func (s *System) Run(maxInsts uint64) (bool, error) {
 				s.Stats.Recovery.Promotions++
 				de.cooldown = 0
 				s.tel.tierMove(s.now(), id, TierPinned, rr.tier(), telemetry.CauseNone)
-				s.trace("promote B%d: %s -> %s after clean interpreted run", id, TierPinned, rr.tier())
 			}
 		}
 
@@ -685,7 +673,6 @@ func (s *System) runRegion(entry int, c *compiled) int {
 		// either that or a genuine recovery bug.
 		if s.inj != nil && s.inj.CorruptState(s.st) {
 			s.tel.chaosInjected(s.now(), entry, tier, telemetry.CauseCorrupt)
-			s.trace("injected post-rollback state corruption in B%d", entry)
 		}
 		if s.cfg.CheckInvariants {
 			if err := snap.Verify(s.st, s.mem); err != nil {
@@ -710,7 +697,6 @@ func (s *System) runRegion(entry int, c *compiled) int {
 		if rr.Clean() {
 			s.Stats.Recovery.Promotions++
 			s.tel.tierMove(s.now(), entry, tier, rr.tier(), telemetry.CauseNone)
-			s.trace("promote B%d to %s after %d clean commits", entry, rr.tier(), s.cfg.Recovery.PromoteAfter)
 			// The promoted code replaces the conservative version, which
 			// stays installed (it is still correct) until the background
 			// replacement is ready.
@@ -749,7 +735,6 @@ func (s *System) runRegion(entry int, c *compiled) int {
 				s.blacklist[entry] = bl
 			}
 			pair := alias.MakePair(res.Conflict.Checker, res.Conflict.Origin)
-			s.trace("alias exception in B%d: op %d checked op %d", entry, res.Conflict.Checker, res.Conflict.Origin)
 			if s.cfg.Mode == sched.HWALAT {
 				pins := s.pinnedLoads[entry]
 				if pins == nil {
@@ -768,8 +753,6 @@ func (s *System) runRegion(entry int, c *compiled) int {
 				learned = true
 			}
 			bl[pair] = true
-		} else {
-			s.trace("spurious alias exception in B%d (injected)", entry)
 		}
 		// Chronic offender: jump straight to conservative code and stop
 		// promoting (the old one-shot pin, now the ladder's hard cap).
@@ -785,7 +768,6 @@ func (s *System) runRegion(entry int, c *compiled) int {
 		} else if rr.Fault(1) {
 			s.Stats.Recovery.Demotions++
 			s.tel.tierMove(s.now(), entry, rr.tier()-1, rr.tier(), telemetry.CauseRate)
-			s.trace("demote B%d to %s (rollback rate)", entry, rr.tier())
 		}
 		s.reoptimize(entry, rr)
 		// Make forward progress in the interpreter before re-dispatching.
@@ -804,7 +786,6 @@ func (s *System) runRegion(entry int, c *compiled) int {
 		if c.failStreak >= s.cfg.MaxGuardFails {
 			// The trace no longer matches behaviour: drop it and require
 			// twice the heat before re-forming.
-			s.trace("drop B%d after %d consecutive guard failures", entry, c.failStreak)
 			s.cancelPending(entry, telemetry.CauseStale)
 			s.dropCode(entry)
 			delete(s.sbCache, entry)
@@ -824,7 +805,6 @@ func (s *System) runRegion(entry int, c *compiled) int {
 		if rr.Fault(1) {
 			s.Stats.Recovery.Demotions++
 			s.tel.tierMove(s.now(), entry, tier, rr.tier(), telemetry.CauseFaultStorm)
-			s.trace("demote B%d to %s (fault storm)", entry, rr.tier())
 			s.reoptimize(entry, rr)
 		}
 		return s.interpretOne(entry)
@@ -840,7 +820,6 @@ func (s *System) reoptimize(entry int, rr *regionRecovery) {
 	if rr.tier() == TierPinned {
 		s.cancelPending(entry, telemetry.CauseStale)
 		s.dropCode(entry)
-		s.trace("pin B%d to the interpreter", entry)
 		return
 	}
 	if s.bg != nil {
@@ -859,7 +838,6 @@ func (s *System) demoteTo(entry int, rr *regionRecovery, t Tier, cause telemetry
 	if rr.demoteTo(t) {
 		s.Stats.Recovery.Demotions += int64(rr.Demotions() - before)
 		s.tel.tierMove(s.now(), entry, from, rr.tier(), cause)
-		s.trace("demote B%d to %s (%s)", entry, rr.tier(), cause)
 	}
 }
 

@@ -80,7 +80,6 @@ func (s *System) healthRollback() {
 // telemetry and the health controller.
 func (s *System) recordHostFault(entry int, cause telemetry.Cause) {
 	s.tel.hostFault(s.now(), entry, s.tierOf(entry), cause)
-	s.trace("host fault in compile of B%d (%s)", entry, cause)
 	if s.hc != nil {
 		mv, ok := s.hc.RecordHostFault()
 		s.healthMoved(mv, ok, cause)
@@ -91,7 +90,6 @@ func (s *System) recordHostFault(entry int, cause telemetry.Cause) {
 func (s *System) healthMoved(mv health.Move, ok bool, cause telemetry.Cause) {
 	if ok {
 		s.tel.healthMove(s.now(), mv, cause)
-		s.trace("health: %s -> %s %s", mv.From, mv.To, cause)
 	}
 }
 
@@ -108,5 +106,4 @@ func (s *System) quarantineRegion(entry int, cause telemetry.Cause) {
 	s.quarantined[entry] = true
 	s.Stats.Compile.Quarantined++
 	s.tel.quarantine(s.now(), entry, s.tierOf(entry), cause)
-	s.trace("quarantine B%d (%s)", entry, cause)
 }

@@ -136,6 +136,10 @@ func TestTelemetryMatchesStats(t *testing.T) {
 					name, seed, compiledDispatches, outcomes)
 			}
 
+			if byKind[telemetry.KindCompile] == 0 {
+				t.Errorf("%s/seed%d: no compile events", name, seed)
+			}
+
 			// Trace events agree with Stats.
 			checks := []struct {
 				what string
@@ -151,6 +155,10 @@ func TestTelemetryMatchesStats(t *testing.T) {
 				{"evict events", byKind[telemetry.KindEvict], st.Recovery.Evictions},
 				{"chaos events", byKind[telemetry.KindChaos],
 					st.Injected.SpuriousAliases + st.Injected.GuardFails + st.Injected.CompileFails + st.Injected.Corruptions},
+				{"compile events", byKind[telemetry.KindCompile], int64(st.RegionsCompiled + st.Recompiles)},
+				// Injected exceptions carry no violated pair, so only
+				// genuine ones emit an alias-exception event.
+				{"alias-exception events", byKind[telemetry.KindAliasException], st.AliasExceptions - st.Injected.SpuriousAliases},
 
 				// The metrics registry agrees with both.
 				{"commits counter", reg.Counter(mCommits).Value(), st.Commits},

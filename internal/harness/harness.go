@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sort"
 	"strings"
 	"sync"
 
@@ -276,16 +275,6 @@ func (r *Runner) benchNames() []string {
 		names[i] = b.Name
 	}
 	return names
-}
-
-// sortedKeys is a helper for deterministic map iteration.
-func sortedKeys(m map[string]float64) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }
 
 // ParseConfig resolves a configuration name — smarq<N>, alat, efficeon,

@@ -2,9 +2,7 @@ package telemetry
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
-	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -164,20 +162,9 @@ func (r *Registry) Gauge(name string) *Gauge {
 	return g
 }
 
-// LookupCounter returns the named counter without registering it: nil
-// when absent (or on a nil registry). Observability readers use it so a
-// scrape never mutates the set of registered instruments.
-func (r *Registry) LookupCounter(name string) *Counter {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.counters[name]
-}
-
 // LookupGauge returns the named gauge without registering it: nil when
-// absent (or on a nil registry).
+// absent (or on a nil registry). Observability readers use it so a
+// scrape never mutates the set of registered instruments.
 func (r *Registry) LookupGauge(name string) *Gauge {
 	if r == nil {
 		return nil
@@ -270,35 +257,4 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(&snap)
-}
-
-// WriteText writes a human-oriented flat dump (name value per line).
-// Every instrument class is included — counters and gauges by value,
-// histograms as name_count/name_sum — and all lines are sorted, so the
-// dump is byte-deterministic for a given registry state.
-func (r *Registry) WriteText(w io.Writer) error {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	lines := make([]string, 0, len(r.counters)+len(r.gauges)+2*len(r.histograms))
-	for name, c := range r.counters {
-		lines = append(lines, fmt.Sprintf("%s %d\n", name, c.Value()))
-	}
-	for name, g := range r.gauges {
-		lines = append(lines, fmt.Sprintf("%s %d\n", name, g.Value()))
-	}
-	for name, h := range r.histograms {
-		lines = append(lines,
-			fmt.Sprintf("%s_count %d\n", name, h.Count()),
-			fmt.Sprintf("%s_sum %d\n", name, h.Sum()))
-	}
-	r.mu.Unlock()
-	sort.Strings(lines)
-	for _, ln := range lines {
-		if _, err := io.WriteString(w, ln); err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -19,6 +19,10 @@ import (
 	"strings"
 )
 
+// PrometheusContentType is the content type of the text exposition
+// format served to scrapers.
+const PrometheusContentType = "text/plain; version=0.0.4; charset=utf-8"
+
 // Label is one name/value pair attached to a metric series.
 type Label struct {
 	Name, Value string

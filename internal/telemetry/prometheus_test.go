@@ -2,7 +2,6 @@ package telemetry
 
 import (
 	"bytes"
-	"net/http/httptest"
 	"strings"
 	"testing"
 )
@@ -59,38 +58,31 @@ func TestPrometheusExposition(t *testing.T) {
 
 // TestPrometheusDeterministic: identical registry states expose to
 // identical bytes regardless of registration order — the property the
-// obs endpoint goldens rely on. The JSON snapshot and WriteText must
-// hold it too.
+// obs endpoint goldens rely on. The JSON snapshot must hold it too.
 func TestPrometheusDeterministic(t *testing.T) {
 	orders := [][]string{
 		{"c_plain", "c_tier_full", "c_tier_cons", "g", "h"},
 		{"h", "g", "c_tier_cons", "c_tier_full", "c_plain"},
 		{"c_tier_cons", "h", "c_plain", "g", "c_tier_full"},
 	}
-	encode := func(reg *Registry) (prom, js, txt string) {
-		var pb, jb, tb bytes.Buffer
+	encode := func(reg *Registry) (prom, js string) {
+		var pb, jb bytes.Buffer
 		if err := reg.WritePrometheus(&pb); err != nil {
 			t.Fatalf("WritePrometheus: %v", err)
 		}
 		if err := reg.WriteJSON(&jb); err != nil {
 			t.Fatalf("WriteJSON: %v", err)
 		}
-		if err := reg.WriteText(&tb); err != nil {
-			t.Fatalf("WriteText: %v", err)
-		}
-		return pb.String(), jb.String(), tb.String()
+		return pb.String(), jb.String()
 	}
-	p0, j0, t0 := encode(buildRegistry(orders[0]))
+	p0, j0 := encode(buildRegistry(orders[0]))
 	for _, order := range orders[1:] {
-		p, j, txt := encode(buildRegistry(order))
+		p, j := encode(buildRegistry(order))
 		if p != p0 {
 			t.Errorf("prometheus bytes depend on registration order:\n%s\nvs\n%s", p, p0)
 		}
 		if j != j0 {
 			t.Errorf("JSON bytes depend on registration order")
-		}
-		if txt != t0 {
-			t.Errorf("text bytes depend on registration order")
 		}
 	}
 }
@@ -130,14 +122,13 @@ func TestLabeledCanonical(t *testing.T) {
 
 func TestLookupDoesNotRegister(t *testing.T) {
 	reg := NewRegistry()
-	if reg.LookupCounter("nope") != nil || reg.LookupGauge("nope") != nil {
-		t.Fatal("lookup of an absent instrument returned non-nil")
+	if reg.LookupGauge("nope") != nil {
+		t.Fatal("lookup of an absent gauge returned non-nil")
 	}
 	var before bytes.Buffer
 	if err := reg.WriteJSON(&before); err != nil {
 		t.Fatal(err)
 	}
-	reg.LookupCounter("phantom_counter")
 	reg.LookupGauge("phantom_gauge")
 	var after bytes.Buffer
 	if err := reg.WriteJSON(&after); err != nil {
@@ -146,61 +137,13 @@ func TestLookupDoesNotRegister(t *testing.T) {
 	if !bytes.Equal(before.Bytes(), after.Bytes()) {
 		t.Errorf("Lookup mutated the registry:\n%s\nvs\n%s", before.String(), after.String())
 	}
-	reg.Counter("real").Add(1)
-	if c := reg.LookupCounter("real"); c == nil || c.Value() != 1 {
-		t.Errorf("LookupCounter missed a registered counter")
-	}
 	reg.Gauge("realg").Set(9)
 	if g := reg.LookupGauge("realg"); g == nil || g.Value() != 9 {
 		t.Errorf("LookupGauge missed a registered gauge")
 	}
 	var nilReg *Registry
-	if nilReg.LookupCounter("x") != nil || nilReg.LookupGauge("x") != nil {
+	if nilReg.LookupGauge("x") != nil {
 		t.Errorf("nil registry lookups must return nil")
-	}
-}
-
-// TestHandlerFormats: the live endpoint serves JSON by default (the
-// original -listen contract) and the Prometheus text format on request,
-// both deterministic.
-func TestHandlerFormats(t *testing.T) {
-	reg := buildRegistry([]string{"c_plain", "g", "h"})
-	h := reg.Handler()
-
-	get := func(target, accept string) *httptest.ResponseRecorder {
-		req := httptest.NewRequest("GET", target, nil)
-		if accept != "" {
-			req.Header.Set("Accept", accept)
-		}
-		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, req)
-		return rec
-	}
-
-	if rec := get("/metrics", ""); !strings.Contains(rec.Header().Get("Content-Type"), "application/json") ||
-		!strings.Contains(rec.Body.String(), `"counters"`) {
-		t.Errorf("default format is not the JSON snapshot: %s %s",
-			rec.Header().Get("Content-Type"), rec.Body.String())
-	}
-	for _, target := range []string{"/metrics?format=prometheus", "/metrics?format=text"} {
-		rec := get(target, "")
-		if rec.Header().Get("Content-Type") != PrometheusContentType ||
-			!strings.Contains(rec.Body.String(), "# TYPE requests_total counter") {
-			t.Errorf("%s did not serve the text exposition: %s", target, rec.Body.String())
-		}
-	}
-	if rec := get("/metrics", "text/plain"); !strings.Contains(rec.Body.String(), "# TYPE") {
-		t.Errorf("Accept: text/plain did not select prometheus")
-	}
-	if rec := get("/metrics?format=json", "text/plain"); !strings.Contains(rec.Body.String(), `"counters"`) {
-		t.Errorf("?format=json must win over Accept")
-	}
-
-	// Byte-determinism across repeated scrapes of a quiescent registry.
-	a := get("/metrics?format=prometheus", "").Body.String()
-	b := get("/metrics?format=prometheus", "").Body.String()
-	if a != b {
-		t.Errorf("repeated scrapes differ")
 	}
 }
 

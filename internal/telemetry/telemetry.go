@@ -3,8 +3,6 @@ package telemetry
 import (
 	"fmt"
 	"io"
-	"net/http"
-	"strings"
 	"sync"
 )
 
@@ -69,43 +67,4 @@ func (s *LineSink) Err() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.err
-}
-
-// Handler serves the registry as a live metrics endpoint. The default
-// encoding is the deterministic JSON snapshot (back-compatible with the
-// original `smarq-run -listen` surface); `?format=prometheus` — or an
-// Accept header preferring text/plain — selects the Prometheus text
-// exposition instead. Both encodings emit sorted metric names, so two
-// scrapes of identical registry states are byte-identical regardless of
-// registration order. Instrument reads are atomic, so serving
-// concurrently with a running system is safe.
-func (r *Registry) Handler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		if wantsPrometheus(req) {
-			w.Header().Set("Content-Type", PrometheusContentType)
-			_ = r.WritePrometheus(w)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		_ = r.WriteJSON(w)
-	})
-}
-
-// PrometheusContentType is the content type of the text exposition
-// format served to scrapers.
-const PrometheusContentType = "text/plain; version=0.0.4; charset=utf-8"
-
-// wantsPrometheus resolves a metrics request's encoding: an explicit
-// ?format= wins, then an Accept header that names text/plain without
-// naming application/json.
-func wantsPrometheus(req *http.Request) bool {
-	switch req.URL.Query().Get("format") {
-	case "prometheus", "text":
-		return true
-	case "json":
-		return false
-	}
-	accept := req.Header.Get("Accept")
-	return strings.Contains(accept, "text/plain") &&
-		!strings.Contains(accept, "application/json")
 }
