@@ -148,13 +148,13 @@ bench:
 # Perf-regression smoke: rerun the exec benches and compare against the
 # committed baseline. Timing fields get a very generous tolerance (CI
 # machines vary wildly); allocation counts on the steady-state execute
-# paths must match exactly — an allocation regression fails even when the
-# timing noise would hide it.
+# paths, the compile paths and the memo hit path must match exactly — an
+# allocation regression fails even when the timing noise would hide it.
 bench-check:
 	$(GO) test -run '^$$' -bench '$(BENCH_EXEC_RE)' -benchmem -benchtime 2000x -count=1 . \
 		| $(GO) run ./cmd/smarq-benchjson \
 		| $(GO) run ./cmd/smarq-golden -golden testdata/bench-exec.baseline.json -got - \
-			-rtol 9 -atol 1.5 -exact '(Execute/|RegionExecution|Compile|Interpreter/).*allocs_per_op$$|Fleet/tenants4.dedupe_pct$$'
+			-rtol 9 -atol 1.5 -exact '(Execute/|RegionExecution|Compile|Interpreter/|MemoHit).*allocs_per_op$$|Fleet/tenants4.dedupe_pct$$'
 
 # One testing.B benchmark per table/figure plus micro-benchmarks (the
 # full sweep; slow).

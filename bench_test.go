@@ -13,6 +13,7 @@ import (
 	"smarq"
 	"smarq/internal/alias"
 	"smarq/internal/aliashw"
+	"smarq/internal/codecache"
 	"smarq/internal/compilequeue"
 	"smarq/internal/core"
 	"smarq/internal/deps"
@@ -513,7 +514,8 @@ func BenchmarkCompile(b *testing.B) {
 
 // BenchmarkMemoHit measures the path a memoized recompile takes instead
 // of the full pipeline of BenchmarkTranslatePipeline: the canonical
-// content-hash fold over the hot superblock plus the table lookup.
+// content-hash fold over the hot superblock plus a Get on a one-shard
+// codecache, the private memo's shape.
 func BenchmarkMemoHit(b *testing.B) {
 	bm, _ := workload.ByName("ammp")
 	prog := bm.Build()
@@ -539,7 +541,7 @@ func BenchmarkMemoHit(b *testing.B) {
 		}
 		return k
 	}
-	memo := compilequeue.NewMemoCap[*vliw.CompiledRegion](0)
+	memo := codecache.New[*vliw.CompiledRegion](codecache.Options{Shards: 1}, nil)
 	memo.Put(key(), &vliw.CompiledRegion{})
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -33,7 +33,6 @@ import (
 	"path/filepath"
 	"runtime"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"smarq/internal/dynopt"
@@ -139,8 +138,9 @@ func main() {
 	}
 
 	// Shared telemetry across all cells: one sink (serialized), one
-	// registry; each cell's tracer gets a distinct run ID and a meta
-	// event naming it bench/config.
+	// registry; each cell's tracer gets a meta event naming it
+	// bench/config and a run ID from the cell's index, which does not
+	// depend on the order parallel cells start in.
 	var traceSink *telemetry.SyncSink
 	var traceOut *os.File
 	var registry *telemetry.Registry
@@ -165,12 +165,11 @@ func main() {
 		registry = telemetry.NewRegistry()
 	}
 	if traceSink != nil || registry != nil {
-		var runID atomic.Int32
-		r.Telemetry = func(bench, config string) *telemetry.Telemetry {
+		r.Telemetry = func(bench, config string, index int) *telemetry.Telemetry {
 			tel := &telemetry.Telemetry{Metrics: registry}
 			if traceSink != nil {
 				tr := telemetry.NewTracer(0, traceSink)
-				tr.Run = runID.Add(1)
+				tr.Run = int32(index + 1)
 				tr.Emit(telemetry.Event{
 					Kind: telemetry.KindMeta, Region: -1, Tier: -1, To: -1,
 					Name: bench + "/" + config,

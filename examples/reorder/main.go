@@ -97,8 +97,8 @@ func main() {
 				q.Rotate(op.Amount)
 			case ir.Load, ir.Store:
 				lo := addr[op.ID]
-				if c := q.OnMem(op.ID, op.Kind == ir.Store, op.P, op.C, op.AROffset, 0, lo, lo+8); c != nil {
-					return c
+				if c, hit := q.OnMem(op.ID, op.Kind == ir.Store, op.P, op.C, op.AROffset, 0, lo, lo+8); hit {
+					return &c
 				}
 			}
 		}

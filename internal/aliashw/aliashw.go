@@ -23,10 +23,12 @@ type Detector interface {
 	// OnMem is called with the executing op's identity, kind, alias
 	// annotations (P/C bits, register offset, and — for the bit-mask
 	// hardware — the explicit check mask), and its runtime address range
-	// [lo, hi). It returns a non-nil Conflict when an alias exception
+	// [lo, hi). It reports the Conflict and true when an alias exception
 	// must abort the region. For an op with both P and C the check
-	// happens before the set (§3.1).
-	OnMem(opID int, isStore, p, c bool, offset int, mask uint16, lo, hi uint64) *Conflict
+	// happens before the set (§3.1). The conflict is returned by value so
+	// the no-conflict path, the overwhelmingly common one, allocates
+	// nothing.
+	OnMem(opID int, isStore, p, c bool, offset int, mask uint16, lo, hi uint64) (Conflict, bool)
 	// Rotate advances the queue BASE pointer (order-based only).
 	Rotate(n int)
 	// AMov moves the register at src to dst, or clears src when src==dst
@@ -53,17 +55,6 @@ type entry struct {
 }
 
 func overlaps(aLo, aHi, bLo, bHi uint64) bool { return aLo < bHi && bLo < aHi }
-
-// boxed turns an OnMemV result into OnMem's: nil without a conflict, else
-// a fresh *Conflict. Only a hit allocates, so a caller going through the
-// Detector interface pays nothing on the no-conflict path.
-func boxed(conf Conflict, hit bool) *Conflict {
-	if !hit {
-		return nil
-	}
-	c := conf
-	return &c
-}
 
 // OrderedQueue is the order-based alias register queue of §2.4/§3: N
 // physical registers organized as a circular queue with a rotating BASE.
@@ -147,16 +138,9 @@ func (q *OrderedQueue) put(s int, e entry, byStore bool) {
 	}
 }
 
-// OnMem implements Detector.
-func (q *OrderedQueue) OnMem(opID int, isStore, p, c bool, offset int, _ uint16, lo, hi uint64) *Conflict {
-	return boxed(q.OnMemV(opID, isStore, p, c, offset, lo, hi))
-}
-
-// OnMemV is OnMem with the conflict returned by value: the no-conflict
-// path (the overwhelmingly common one) performs no allocation, and a
-// caller holding the concrete *OrderedQueue skips the interface dispatch
-// entirely. The boolean reports whether a conflict was detected.
-func (q *OrderedQueue) OnMemV(opID int, isStore, p, c bool, offset int, lo, hi uint64) (Conflict, bool) {
+// OnMem implements Detector. A caller holding the concrete *OrderedQueue
+// skips the interface dispatch.
+func (q *OrderedQueue) OnMem(opID int, isStore, p, c bool, offset int, _ uint16, lo, hi uint64) (Conflict, bool) {
 	n := q.n
 	if (p || c) && uint(offset) >= uint(n) {
 		panic(fmt.Sprintf("aliashw: op %d uses offset %d with %d registers", opID, offset, n))
@@ -320,13 +304,7 @@ func NewALAT() *ALAT { return &ALAT{} }
 func (a *ALAT) Name() string { return "alat" }
 
 // OnMem implements Detector.
-func (a *ALAT) OnMem(opID int, isStore, p, c bool, offset int, _ uint16, lo, hi uint64) *Conflict {
-	return boxed(a.OnMemV(opID, isStore, p, c, lo, hi))
-}
-
-// OnMemV is the allocation-free concrete-type form of OnMem (see
-// OrderedQueue.OnMemV).
-func (a *ALAT) OnMemV(opID int, isStore, p, _ bool, lo, hi uint64) (Conflict, bool) {
+func (a *ALAT) OnMem(opID int, isStore, p, _ bool, _ int, _ uint16, lo, hi uint64) (Conflict, bool) {
 	if isStore {
 		for _, e := range a.entries {
 			a.checked++
@@ -362,7 +340,9 @@ type None struct{}
 func (None) Name() string { return "none" }
 
 // OnMem implements Detector.
-func (None) OnMem(int, bool, bool, bool, int, uint16, uint64, uint64) *Conflict { return nil }
+func (None) OnMem(int, bool, bool, bool, int, uint16, uint64, uint64) (Conflict, bool) {
+	return Conflict{}, false
+}
 
 // Rotate implements Detector.
 func (None) Rotate(int) {}

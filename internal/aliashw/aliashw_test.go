@@ -8,10 +8,10 @@ func TestOrderedRule(t *testing.T) {
 
 	// A P-only load records its range; a later C store at an earlier-or-
 	// equal offset detects the overlap.
-	if c := q.OnMem(1, false, true, false, 0, 0, 100, 108); c != nil {
+	if _, hit := q.OnMem(1, false, true, false, 0, 0, 100, 108); hit {
 		t.Fatal("set raised a conflict")
 	}
-	if c := q.OnMem(2, true, false, true, 0, 0, 104, 112); c == nil {
+	if c, hit := q.OnMem(2, true, false, true, 0, 0, 104, 112); !hit {
 		t.Fatal("overlapping store missed the load's register")
 	} else if c.Checker != 2 || c.Origin != 1 {
 		t.Errorf("conflict = %+v, want checker 2 origin 1", c)
@@ -24,11 +24,11 @@ func TestOrderedNoFalseCheckOnEarlierRegisters(t *testing.T) {
 	// ("the alias register allocated to X is not later than the alias
 	// register allocated to Y").
 	q.OnMem(1, false, true, false, 0, 0, 100, 108)
-	if c := q.OnMem(2, true, false, true, 1, 0, 100, 108); c != nil {
+	if c, hit := q.OnMem(2, true, false, true, 1, 0, 100, 108); hit {
 		t.Errorf("checker at offset 1 falsely checked register 0: %+v", c)
 	}
 	// At offset 0 it must see it.
-	if c := q.OnMem(3, true, false, true, 0, 0, 100, 108); c == nil {
+	if _, hit := q.OnMem(3, true, false, true, 0, 0, 100, 108); !hit {
 		t.Error("checker at offset 0 missed register 0")
 	}
 }
@@ -36,13 +36,13 @@ func TestOrderedNoFalseCheckOnEarlierRegisters(t *testing.T) {
 func TestOrderedLoadsDoNotCheckLoads(t *testing.T) {
 	q := NewOrderedQueue(8)
 	q.OnMem(1, false, true, false, 0, 0, 100, 108) // load sets reg 0
-	if c := q.OnMem(2, false, false, true, 0, 0, 100, 108); c != nil {
+	if _, hit := q.OnMem(2, false, false, true, 0, 0, 100, 108); hit {
 		t.Error("load checked a load-set register")
 	}
 	// But a store-set register is checked by loads.
 	q.Reset()
 	q.OnMem(1, true, true, false, 0, 0, 100, 108) // store sets reg 0
-	if c := q.OnMem(2, false, false, true, 0, 0, 100, 108); c == nil {
+	if _, hit := q.OnMem(2, false, false, true, 0, 0, 100, 108); !hit {
 		t.Error("load missed a store-set register")
 	}
 }
@@ -52,11 +52,11 @@ func TestOrderedCheckBeforeSet(t *testing.T) {
 	// An op with both P and C must not detect itself, but must detect an
 	// earlier conflicting entry.
 	q.OnMem(1, true, true, false, 0, 0, 100, 108)
-	if c := q.OnMem(2, true, true, true, 0, 0, 100, 108); c == nil {
+	if _, hit := q.OnMem(2, true, true, true, 0, 0, 100, 108); !hit {
 		t.Fatal("P+C op missed the earlier store")
 	}
 	q.Reset()
-	if c := q.OnMem(3, true, true, true, 0, 0, 100, 108); c != nil {
+	if _, hit := q.OnMem(3, true, true, true, 0, 0, 100, 108); hit {
 		t.Error("P+C op detected itself")
 	}
 }
@@ -64,7 +64,7 @@ func TestOrderedCheckBeforeSet(t *testing.T) {
 func TestOrderedNonOverlappingRangesSilent(t *testing.T) {
 	q := NewOrderedQueue(8)
 	q.OnMem(1, false, true, false, 0, 0, 100, 108)
-	if c := q.OnMem(2, true, false, true, 0, 0, 108, 116); c != nil {
+	if _, hit := q.OnMem(2, true, false, true, 0, 0, 108, 116); hit {
 		t.Error("adjacent non-overlapping ranges raised a conflict")
 	}
 }
@@ -78,12 +78,12 @@ func TestOrderedRotation(t *testing.T) {
 	}
 	// The rotated-out register is cleared: a checker at offset 0 (order 1)
 	// must not see the old entry, and the physical slot is reusable.
-	if c := q.OnMem(2, true, false, true, 0, 0, 100, 108); c != nil {
+	if _, hit := q.OnMem(2, true, false, true, 0, 0, 100, 108); hit {
 		t.Error("rotated-out register still visible")
 	}
 	// Reuse the freed physical register: set at offset 3 (order 4 = slot 0).
 	q.OnMem(3, false, true, false, 3, 0, 200, 208)
-	if c := q.OnMem(4, true, false, true, 0, 0, 200, 208); c == nil {
+	if _, hit := q.OnMem(4, true, false, true, 0, 0, 200, 208); !hit {
 		t.Error("reused physical register not visible at its new order")
 	}
 }
@@ -92,7 +92,7 @@ func TestOrderedRotationWrapsManyTimes(t *testing.T) {
 	q := NewOrderedQueue(2)
 	for i := 0; i < 10; i++ {
 		q.OnMem(i, false, true, false, 0, 0, uint64(i*16), uint64(i*16+8))
-		if c := q.OnMem(100+i, true, false, true, 0, 0, uint64(i*16), uint64(i*16+8)); c == nil {
+		if _, hit := q.OnMem(100+i, true, false, true, 0, 0, uint64(i*16), uint64(i*16+8)); !hit {
 			t.Fatalf("iteration %d: conflict missed after rotations", i)
 		}
 		// The conflict origin must be the current setter, not a stale one.
@@ -105,11 +105,11 @@ func TestOrderedAMovMove(t *testing.T) {
 	q.OnMem(1, true, true, false, 2, 0, 100, 108) // entry at order 2
 	q.AMov(2, 0)                                  // move to order 0
 	// Checker at offset 1 no longer sees it (order 0 < 1).
-	if c := q.OnMem(2, true, false, true, 1, 0, 100, 108); c != nil {
+	if _, hit := q.OnMem(2, true, false, true, 1, 0, 100, 108); hit {
 		t.Error("moved register still visible at old order")
 	}
 	// Checker at offset 0 sees it, with the ORIGINAL origin.
-	if c := q.OnMem(3, true, false, true, 0, 0, 100, 108); c == nil {
+	if c, hit := q.OnMem(3, true, false, true, 0, 0, 100, 108); !hit {
 		t.Error("moved register invisible at new order")
 	} else if c.Origin != 1 {
 		t.Errorf("moved entry origin = %d, want 1", c.Origin)
@@ -120,7 +120,7 @@ func TestOrderedAMovCleanup(t *testing.T) {
 	q := NewOrderedQueue(8)
 	q.OnMem(1, true, true, false, 0, 0, 100, 108)
 	q.AMov(0, 0)
-	if c := q.OnMem(2, true, false, true, 0, 0, 100, 108); c != nil {
+	if _, hit := q.OnMem(2, true, false, true, 0, 0, 100, 108); hit {
 		t.Error("cleaned register still visible")
 	}
 }
@@ -128,7 +128,7 @@ func TestOrderedAMovCleanup(t *testing.T) {
 func TestOrderedAMovInvalidSource(t *testing.T) {
 	q := NewOrderedQueue(8)
 	q.AMov(3, 1) // nothing there: must be a harmless no-op
-	if c := q.OnMem(1, true, false, true, 0, 0, 0, 8); c != nil {
+	if _, hit := q.OnMem(1, true, false, true, 0, 0, 0, 8); hit {
 		t.Error("AMov of empty register materialized an entry")
 	}
 }
@@ -151,7 +151,7 @@ func TestOrderedReset(t *testing.T) {
 	if q.Base() != 0 {
 		t.Error("Reset did not clear base")
 	}
-	if c := q.OnMem(2, true, false, true, 0, 0, 100, 108); c != nil {
+	if _, hit := q.OnMem(2, true, false, true, 0, 0, 100, 108); hit {
 		t.Error("Reset did not clear registers")
 	}
 }
@@ -162,7 +162,7 @@ func TestALATStoreChecksEverything(t *testing.T) {
 	a.OnMem(2, false, true, false, 1, 0, 200, 208) // another
 	// A store overlapping EITHER traps — even one the compiler never
 	// reordered against (the false-positive source, §2.3).
-	if c := a.OnMem(3, true, false, false, -1, 0, 200, 208); c == nil {
+	if c, hit := a.OnMem(3, true, false, false, -1, 0, 200, 208); !hit {
 		t.Fatal("ALAT store missed an entry")
 	} else if c.Origin != 2 {
 		t.Errorf("origin = %d, want 2", c.Origin)
@@ -173,7 +173,7 @@ func TestALATCannotDetectStoreStore(t *testing.T) {
 	a := NewALAT()
 	// Stores never record entries, so a second aliasing store is silent.
 	a.OnMem(1, true, true, true, 0, 0, 100, 108)
-	if c := a.OnMem(2, true, true, true, 0, 0, 100, 108); c != nil {
+	if _, hit := a.OnMem(2, true, true, true, 0, 0, 100, 108); hit {
 		t.Error("ALAT detected a store-store alias (it must not be able to)")
 	}
 }
@@ -181,7 +181,7 @@ func TestALATCannotDetectStoreStore(t *testing.T) {
 func TestALATLoadsNeverCheck(t *testing.T) {
 	a := NewALAT()
 	a.OnMem(1, false, true, false, 0, 0, 100, 108)
-	if c := a.OnMem(2, false, false, true, 0, 0, 100, 108); c != nil {
+	if _, hit := a.OnMem(2, false, false, true, 0, 0, 100, 108); hit {
 		t.Error("ALAT load performed a check")
 	}
 }
@@ -190,14 +190,14 @@ func TestALATReset(t *testing.T) {
 	a := NewALAT()
 	a.OnMem(1, false, true, false, 0, 0, 100, 108)
 	a.Reset()
-	if c := a.OnMem(2, true, false, false, -1, 0, 100, 108); c != nil {
+	if _, hit := a.OnMem(2, true, false, false, -1, 0, 100, 108); hit {
 		t.Error("Reset did not clear ALAT entries")
 	}
 }
 
 func TestNoneNeverConflicts(t *testing.T) {
 	var n None
-	if c := n.OnMem(1, true, true, true, 0, 0, 0, 8); c != nil {
+	if _, hit := n.OnMem(1, true, true, true, 0, 0, 0, 8); hit {
 		t.Error("None detector raised a conflict")
 	}
 	n.Rotate(3)
@@ -214,19 +214,19 @@ func TestBitmask(t *testing.T) {
 	b.Set(2, true, 3, 200, 208)
 	// Mask selecting only register 3: register 0's overlap is invisible —
 	// the precision that prevents false positives.
-	if c := b.Check(5, 1<<3, 100, 108); c != nil {
+	if _, hit := b.OnMem(5, false, false, true, 0, 1<<3, 100, 108); hit {
 		t.Error("masked-out register was checked")
 	}
-	if c := b.Check(5, 1<<3, 200, 208); c == nil {
+	if _, hit := b.OnMem(5, false, false, true, 0, 1<<3, 200, 208); !hit {
 		t.Error("selected register missed")
 	}
 	// Store-store detection works (Table 1: Efficeon detects aliases
 	// between stores).
-	if c := b.Check(6, 1<<3, 204, 212); c == nil {
+	if _, hit := b.OnMem(6, false, false, true, 0, 1<<3, 204, 212); !hit {
 		t.Error("store-set register not detected")
 	}
 	b.Reset()
-	if c := b.Check(7, 0xFFFF>>1, 0, 1<<30); c != nil {
+	if _, hit := b.OnMem(7, false, false, true, 0, 0xFFFF>>1, 0, 1<<30); hit {
 		t.Error("Reset did not clear registers")
 	}
 }
@@ -291,14 +291,14 @@ func TestCheckedCounters(t *testing.T) {
 
 // TestOnMemNoConflictZeroAllocs: through the Detector interface, a check
 // or set that finds no conflict allocates nothing on every model, and a
-// conflict still comes back as its own value. The executor's generic
+// conflict still comes back with its checker and origin. The executor's generic
 // memory path relies on this.
 func TestOnMemNoConflictZeroAllocs(t *testing.T) {
 	for _, det := range []Detector{NewOrderedQueue(8), NewALAT(), NewBitmask(15), None{}} {
 		det.OnMem(1, false, true, false, 0, 0, 100, 108) // a P load sets register 0
 		allocs := testing.AllocsPerRun(100, func() {
-			if c := det.OnMem(2, true, false, true, 0, 1, 200, 208); c != nil {
-				t.Fatalf("%s: unexpected conflict %+v", det.Name(), *c)
+			if c, hit := det.OnMem(2, true, false, true, 0, 1, 200, 208); hit {
+				t.Fatalf("%s: unexpected conflict %+v", det.Name(), c)
 			}
 		})
 		if allocs != 0 {
@@ -307,9 +307,9 @@ func TestOnMemNoConflictZeroAllocs(t *testing.T) {
 		if _, ok := det.(None); ok {
 			continue
 		}
-		c := det.OnMem(3, true, false, true, 0, 1, 104, 112)
-		if c == nil || c.Checker != 3 || c.Origin != 1 {
-			t.Errorf("%s: conflict = %v, want checker 3 origin 1", det.Name(), c)
+		c, hit := det.OnMem(3, true, false, true, 0, 1, 104, 112)
+		if !hit || c.Checker != 3 || c.Origin != 1 {
+			t.Errorf("%s: conflict = %+v (hit %v), want checker 3 origin 1", det.Name(), c, hit)
 		}
 	}
 }

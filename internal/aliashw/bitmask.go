@@ -44,25 +44,14 @@ func (b *Bitmask) Set(opID int, isStore bool, r int, lo, hi uint64) {
 	b.valid |= 1 << uint(r)
 }
 
-// Check tests the registers selected by mask against [lo, hi) and returns
-// a conflict if any overlaps. Only the registers named in the mask are
-// examined — the precision Efficeon buys with encoding bits.
-func (b *Bitmask) Check(opID int, mask uint16, lo, hi uint64) *Conflict {
-	return boxed(b.OnMemV(opID, false, false, true, 0, mask, lo, hi))
-}
-
 // Reset clears all registers.
 func (b *Bitmask) Reset() { b.valid = 0 }
 
 // OnMem implements Detector: a C op checks the registers its mask names
 // (check before set), then a P op records its range in register offset.
-func (b *Bitmask) OnMem(opID int, isStore, p, c bool, offset int, mask uint16, lo, hi uint64) *Conflict {
-	return boxed(b.OnMemV(opID, isStore, p, c, offset, mask, lo, hi))
-}
-
-// OnMemV is the allocation-free concrete-type form of OnMem (see
-// OrderedQueue.OnMemV).
-func (b *Bitmask) OnMemV(opID int, isStore, p, c bool, offset int, mask uint16, lo, hi uint64) (Conflict, bool) {
+// Only the registers named in the mask are examined — the precision
+// Efficeon buys with encoding bits.
+func (b *Bitmask) OnMem(opID int, isStore, p, c bool, offset int, mask uint16, lo, hi uint64) (Conflict, bool) {
 	if c {
 		for m := mask & b.valid; m != 0; m &= m - 1 {
 			e := &b.regs[bits.TrailingZeros16(m)]

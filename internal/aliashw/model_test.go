@@ -124,12 +124,12 @@ func stepSpec(t *testing.T, q *OrderedQueue, s *specQueue, step int, op specOp) 
 		q.Reset()
 		s.Reset()
 	default:
-		got := q.OnMem(step, op.isStore, op.p, op.c, op.a, 0, op.lo, op.hi)
+		got, hit := q.OnMem(step, op.isStore, op.p, op.c, op.a, 0, op.lo, op.hi)
 		want := s.OnMem(step, op.isStore, op.p, op.c, op.a, 0, op.lo, op.hi)
-		if (got == nil) != (want == nil) {
-			t.Fatalf("n=%d step %d: conflict mismatch: impl=%v spec=%v", s.n, step, got, want)
+		if hit != (want != nil) {
+			t.Fatalf("n=%d step %d: conflict mismatch: impl=%v spec=%v", s.n, step, hit, want)
 		}
-		if got != nil && got.Origin != want.Origin {
+		if hit && got.Origin != want.Origin {
 			// The spec reports the earliest-order conflict; the
 			// implementation scans from the offset upward — they must
 			// agree on the witness.
@@ -288,12 +288,12 @@ func TestBitmaskMatchesSpec(t *testing.T) {
 		mask := uint16(rng.Intn(1 << 15))
 		lo := uint64(rng.Intn(64) * 4)
 		hi := lo + uint64(4+rng.Intn(8))
-		got := b.OnMem(step, isStore, p, c, off, mask, lo, hi)
+		got, hit := b.OnMem(step, isStore, p, c, off, mask, lo, hi)
 		want := s.OnMem(step, isStore, p, c, off, mask, lo, hi)
-		if (got == nil) != (want == nil) {
-			t.Fatalf("step %d: conflict mismatch: impl=%v spec=%v", step, got, want)
+		if hit != (want != nil) {
+			t.Fatalf("step %d: conflict mismatch: impl=%v spec=%v", step, hit, want)
 		}
-		if got != nil && got.Origin != want.Origin {
+		if hit && got.Origin != want.Origin {
 			t.Fatalf("step %d: origin mismatch: impl=%d spec=%d", step, got.Origin, want.Origin)
 		}
 	}

@@ -1,22 +1,17 @@
 // Package codecache is a sharded, content-addressed cache for compiled
-// regions shared by many concurrently running dynopt.Systems (fleet
-// execution). It is the concurrent sibling of compilequeue.Memo: the same
-// FNV-1a content keys, but safe — and fast — under true cross-goroutine
-// contention.
+// regions. dynopt uses it in two shapes: a one-shard private memo that a
+// single System reads and writes on its simulation thread, and a sharded
+// fleet cache shared by many concurrently running Systems. Both key on
+// the compilequeue FNV-1a content hash.
 //
 // Layout and discipline:
 //
 //   - N shards (a power of two), selected by the key's high bits. Content
 //     hashes are uniform, so high bits spread as well as low bits and keep
 //     the shard index a single shift.
-//   - Hits are lock-free: each shard publishes its entry table as a
-//     copy-on-write map snapshot behind an atomic.Pointer. A reader loads
-//     the snapshot, indexes it, and bumps the entry's recency stamp with
-//     one atomic store; it never takes the shard mutex.
-//   - Mutations (insert, evict, single-flight transitions) take the shard
-//     mutex and install a fresh snapshot. Tables hold compiled regions —
-//     hundreds of entries, not millions — so the copy is cheap relative
-//     to a compile, and in exchange the hit path stays wait-free.
+//   - Each shard is a plain map guarded by the shard mutex. Every read
+//     (Get, Peek, Lookup) and every mutation (insert, evict, single-flight
+//     transitions) takes it; tables change in place.
 //   - Recency is a global atomic clock: every hit or insert stamps the
 //     entry with clock+1. Eviction scans all shards for the minimum stamp
 //     — exact LRU under sequential use, approximate (scan-min) under
@@ -35,8 +30,7 @@
 // outcomes differ between a fleet run and a solo run, but dynopt replays a
 // hit's modelled costs exactly as a fresh compile's, so per-tenant
 // simulated results are identical modulo the hit/miss counters themselves
-// (the same contract as compilequeue.Memo, proven by
-// harness.TestFleetTenantDeterminism).
+// (proven by harness.TestFleetTenantDeterminism).
 package codecache
 
 import (
@@ -80,20 +74,20 @@ func (f *Flight[V]) Done() <-chan struct{} { return f.done }
 // Value returns the flight's result; valid only after Done is closed.
 func (f *Flight[V]) Value() V { return f.val }
 
-// entry is one cached value. val and size are immutable after publication
-// (entries are published by swapping in a fresh map snapshot); used is the
-// recency stamp, atomically rewritten on every hit.
+// entry is one cached value; used is its recency stamp. Guarded by the
+// owning shard's mutex.
 type entry[V any] struct {
 	val  V
 	size int64
-	used atomic.Int64
+	used int64
 }
 
+// shard is one table and its in-progress flights, both guarded by mu.
+// flights is made on a shard's first miss in Lookup: a cache used only
+// through Get and Put, like dynopt's private memo, never needs it.
 type shard[V any] struct {
-	mu sync.Mutex
-	// snap is the copy-on-write entry table; readers load it without the
-	// mutex, writers replace it under the mutex.
-	snap    atomic.Pointer[map[Key]*entry[V]]
+	mu      sync.Mutex
+	table   map[Key]*entry[V]
 	flights map[Key]*Flight[V]
 }
 
@@ -120,6 +114,9 @@ type Cache[V any] struct {
 	size   func(V) int64
 	shards []shard[V]
 	shift  uint // shard index = key >> shift (high bits)
+	// one backs shards when there is a single shard, so a private memo
+	// costs one allocation fewer per System.
+	one [1]shard[V]
 
 	maxEntries int64
 	maxBytes   int64
@@ -160,19 +157,20 @@ func New[V any](opts Options, size func(V) int64) *Cache[V] {
 	}
 	c := &Cache[V]{
 		size:       size,
-		shards:     make([]shard[V], p),
 		maxEntries: opts.MaxEntries,
 		maxBytes:   opts.MaxBytes,
+	}
+	c.shards = c.one[:]
+	if p > 1 {
+		c.shards = make([]shard[V], p)
 	}
 	shift := uint(64)
 	for b := p; b > 1; b >>= 1 {
 		shift--
 	}
 	c.shift = shift
-	empty := make(map[Key]*entry[V])
 	for i := range c.shards {
-		c.shards[i].snap.Store(&empty)
-		c.shards[i].flights = make(map[Key]*Flight[V])
+		c.shards[i].table = make(map[Key]*entry[V])
 	}
 	return c
 }
@@ -192,24 +190,32 @@ func (c *Cache[V]) lock(sh *shard[V]) {
 }
 
 // Get looks k up without single-flight bookkeeping: a hit freshens the
-// entry's recency, a miss just counts. The fast path never locks.
+// entry's recency, a miss just counts.
 func (c *Cache[V]) Get(k Key) (V, bool) {
 	c.lookups.Add(1)
 	sh := c.shardOf(k)
-	if e, ok := (*sh.snap.Load())[k]; ok {
-		e.used.Store(c.clock.Add(1))
-		c.hits.Add(1)
-		return e.val, true
+	c.lock(sh)
+	e, ok := sh.table[k]
+	if ok {
+		e.used = c.clock.Add(1)
 	}
-	c.misses.Add(1)
-	var zero V
-	return zero, false
+	sh.mu.Unlock()
+	if !ok {
+		c.misses.Add(1)
+		var zero V
+		return zero, false
+	}
+	c.hits.Add(1)
+	return e.val, true
 }
 
 // Peek reports whether k is cached without touching recency or counters —
 // the non-perturbing probe the LRU-oracle tests use.
 func (c *Cache[V]) Peek(k Key) (V, bool) {
-	if e, ok := (*c.shardOf(k).snap.Load())[k]; ok {
+	sh := c.shardOf(k)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if e, ok := sh.table[k]; ok {
 		return e.val, true
 	}
 	var zero V
@@ -218,26 +224,21 @@ func (c *Cache[V]) Peek(k Key) (V, bool) {
 
 // Lookup resolves k with cross-tenant single-flight:
 //
-//   - hit: (value, true, nil, false) — lock-free, recency freshened;
+//   - hit: (value, true, nil, false) — recency freshened;
 //   - miss, first caller: (zero, false, flight, true) — the caller is the
 //     leader and must eventually call Complete on the flight;
 //   - miss, concurrent callers: (zero, false, flight, false) — wait on
 //     flight.Done, then read flight.Value.
+//
+// Complete inserts before removing the flight, so under the shard mutex a
+// key is always in the table, in flight, or genuinely absent.
 func (c *Cache[V]) Lookup(k Key) (v V, hit bool, f *Flight[V], leader bool) {
 	c.lookups.Add(1)
 	sh := c.shardOf(k)
-	if e, ok := (*sh.snap.Load())[k]; ok {
-		e.used.Store(c.clock.Add(1))
-		c.hits.Add(1)
-		return e.val, true, nil, false
-	}
 	c.lock(sh)
-	// Re-check under the mutex: Complete inserts before removing the
-	// flight, so a key is always in the table, in flight, or genuinely
-	// absent — never in between.
-	if e, ok := (*sh.snap.Load())[k]; ok {
+	if e, ok := sh.table[k]; ok {
+		e.used = c.clock.Add(1)
 		sh.mu.Unlock()
-		e.used.Store(c.clock.Add(1))
 		c.hits.Add(1)
 		return e.val, true, nil, false
 	}
@@ -248,6 +249,9 @@ func (c *Cache[V]) Lookup(k Key) (v V, hit bool, f *Flight[V], leader bool) {
 		return v, false, fl, false
 	}
 	fl := &Flight[V]{done: make(chan struct{})}
+	if sh.flights == nil {
+		sh.flights = make(map[Key]*Flight[V])
+	}
 	sh.flights[k] = fl
 	sh.mu.Unlock()
 	c.misses.Add(1)
@@ -285,24 +289,18 @@ func (c *Cache[V]) Put(k Key, v V) {
 	c.enforceBudget()
 }
 
-// insertLocked swaps in a fresh snapshot containing k. Caller holds sh.mu.
+// insertLocked stores k in sh's table, replacing any existing entry.
+// Caller holds sh.mu.
 func (c *Cache[V]) insertLocked(sh *shard[V], k Key, v V) {
-	old := *sh.snap.Load()
-	m := make(map[Key]*entry[V], len(old)+1)
-	for kk, ee := range old {
-		m[kk] = ee
-	}
-	e := &entry[V]{val: v}
+	e := &entry[V]{val: v, used: c.clock.Add(1)}
 	if c.size != nil {
 		e.size = c.size(v)
 	}
-	e.used.Store(c.clock.Add(1))
-	if prev, ok := m[k]; ok {
+	if prev, ok := sh.table[k]; ok {
 		c.bytes.Add(-prev.size)
 		c.entries.Add(-1)
 	}
-	m[k] = e
-	sh.snap.Store(&m)
+	sh.table[k] = e
 	c.entries.Add(1)
 	c.bytes.Add(e.size)
 }
@@ -323,18 +321,20 @@ func (c *Cache[V]) enforceBudget() {
 	c.evictMu.Lock()
 	defer c.evictMu.Unlock()
 	for c.over() {
-		if !c.evictOne() {
+		if !c.EvictOldest() {
 			return
 		}
 	}
 }
 
-// evictOne removes the entry with the globally minimum recency stamp.
-// Stamps are unique (one atomic clock), so the victim is unambiguous at
-// scan time; under concurrency a racing hit may freshen the victim between
-// the scan and the removal, making the policy scan-min approximate rather
-// than strict LRU — an accepted trade for the lock-free hit path.
-func (c *Cache[V]) evictOne() bool {
+// EvictOldest removes the entry with the globally minimum recency stamp
+// and reports whether one was removed: the budget's eviction step, and
+// dynopt's memo-pressure fault. Stamps are unique (one atomic clock), so
+// the victim is unambiguous at scan time; under concurrency a racing hit
+// may freshen the victim between the scan and the removal, or a racing
+// evictor may remove it first, making the policy scan-min approximate
+// rather than strict LRU.
+func (c *Cache[V]) EvictOldest() bool {
 	var (
 		vs   *shard[V]
 		vk   Key
@@ -342,26 +342,21 @@ func (c *Cache[V]) evictOne() bool {
 	)
 	for i := range c.shards {
 		sh := &c.shards[i]
-		for k, e := range *sh.snap.Load() {
-			if u := e.used.Load(); u < vmin {
-				vmin, vs, vk = u, sh, k
+		c.lock(sh)
+		for k, e := range sh.table {
+			if e.used < vmin {
+				vmin, vs, vk = e.used, sh, k
 			}
 		}
+		sh.mu.Unlock()
 	}
 	if vs == nil {
 		return false
 	}
 	c.lock(vs)
-	old := *vs.snap.Load()
-	e, ok := old[vk]
+	e, ok := vs.table[vk]
 	if ok {
-		m := make(map[Key]*entry[V], len(old)-1)
-		for kk, ee := range old {
-			if kk != vk {
-				m[kk] = ee
-			}
-		}
-		vs.snap.Store(&m)
+		delete(vs.table, vk)
 		c.entries.Add(-1)
 		c.bytes.Add(-e.size)
 		c.evictions.Add(1)
@@ -375,6 +370,9 @@ func (c *Cache[V]) Len() int { return int(c.entries.Load()) }
 
 // Bytes returns the live payload byte total.
 func (c *Cache[V]) Bytes() int64 { return c.bytes.Load() }
+
+// Evictions returns how many entries the budget or EvictOldest removed.
+func (c *Cache[V]) Evictions() int64 { return c.evictions.Load() }
 
 // Stats snapshots the counters. Taken while other goroutines run, the
 // counters are individually atomic but not mutually consistent; at
@@ -393,7 +391,10 @@ func (c *Cache[V]) Stats() Stats {
 		ShardEntries: make([]int, len(c.shards)),
 	}
 	for i := range c.shards {
-		st.ShardEntries[i] = len(*c.shards[i].snap.Load())
+		sh := &c.shards[i]
+		sh.mu.Lock()
+		st.ShardEntries[i] = len(sh.table)
+		sh.mu.Unlock()
 	}
 	return st
 }

@@ -22,15 +22,17 @@ func mkKey(i int) Key {
 // recency stamps mirroring the cache's global clock. Get stamps clock+1 on
 // a hit; Put stamps the inserted entry; eviction removes the minimum
 // stamp. Run in lockstep with a Cache under single-threaded use, every
-// hit/miss outcome, eviction victim, Len and Bytes must match exactly.
+// hit/miss outcome, eviction victim, Len, Bytes and eviction count must
+// match exactly.
 type seqModel struct {
-	vals    map[Key]int
-	sizes   map[Key]int64
-	stamps  map[Key]int64
-	clock   int64
-	bytes   int64
-	maxEnt  int64
-	maxByte int64
+	vals      map[Key]int
+	sizes     map[Key]int64
+	stamps    map[Key]int64
+	clock     int64
+	bytes     int64
+	evictions int64
+	maxEnt    int64
+	maxByte   int64
 }
 
 func newSeqModel(maxEnt, maxByte int64) *seqModel {
@@ -60,46 +62,71 @@ func (m *seqModel) put(k Key, v int, size int64) {
 	m.bytes += size
 	for (m.maxEnt > 0 && int64(len(m.vals)) > m.maxEnt) ||
 		(m.maxByte > 0 && m.bytes > m.maxByte) {
-		victim, vmin := Key(0), int64(1<<63-1)
-		for kk, s := range m.stamps {
-			if s < vmin {
-				victim, vmin = kk, s
-			}
-		}
-		m.bytes -= m.sizes[victim]
-		delete(m.vals, victim)
-		delete(m.sizes, victim)
-		delete(m.stamps, victim)
+		m.evictOldest()
 	}
 }
 
+// evictOldest removes the minimum stamp; false when the model is empty.
+func (m *seqModel) evictOldest() bool {
+	if len(m.vals) == 0 {
+		return false
+	}
+	victim, vmin := Key(0), int64(1<<63-1)
+	for kk, s := range m.stamps {
+		if s < vmin {
+			victim, vmin = kk, s
+		}
+	}
+	m.bytes -= m.sizes[victim]
+	delete(m.vals, victim)
+	delete(m.sizes, victim)
+	delete(m.stamps, victim)
+	m.evictions++
+	return true
+}
+
 // TestSequentialLRUOracle drives a Cache and the oracle through the same
-// random get/put stream and requires identical hit/miss outcomes, values,
-// eviction survivors (checked with the non-perturbing Peek), entry counts
-// and byte totals after every step.
+// random get/put/EvictOldest stream and requires identical hit/miss
+// outcomes, values, eviction survivors (checked with the non-perturbing
+// Peek), entry counts, byte totals and eviction counts after every step.
+// The one-shard arms are dynopt's private memo shape.
 func TestSequentialLRUOracle(t *testing.T) {
 	for _, tc := range []struct {
 		name             string
+		shards           int
 		maxEnt, maxBytes int64
 	}{
-		{"entries8", 8, 0},
-		{"bytes200", 0, 200},
-		{"both", 12, 400},
+		{"entries8", 4, 8, 0},
+		{"bytes200", 4, 0, 200},
+		{"both", 4, 12, 400},
+		{"oneShard", 1, 8, 0},
+		{"unbounded", 1, 0, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			c := New[int](Options{Shards: 4, MaxEntries: tc.maxEnt, MaxBytes: tc.maxBytes},
+			c := New[int](Options{Shards: tc.shards, MaxEntries: tc.maxEnt, MaxBytes: tc.maxBytes},
 				func(v int) int64 { return int64(v%64 + 1) })
 			m := newSeqModel(tc.maxEnt, tc.maxBytes)
 			rng := rand.New(rand.NewSource(42))
+			var hits, misses int64
 			for step := 0; step < 5000; step++ {
 				k := mkKey(rng.Intn(40))
-				if rng.Intn(2) == 0 {
+				switch op := rng.Intn(20); {
+				case op == 0:
+					if got, want := c.EvictOldest(), m.evictOldest(); got != want {
+						t.Fatalf("step %d: EvictOldest = %v, oracle %v", step, got, want)
+					}
+				case op < 10:
 					gv, gok := c.Get(k)
 					wv, wok := m.get(k)
 					if gok != wok || (gok && gv != wv) {
 						t.Fatalf("step %d: Get = (%d,%v), oracle (%d,%v)", step, gv, gok, wv, wok)
 					}
-				} else {
+					if wok {
+						hits++
+					} else {
+						misses++
+					}
+				default:
 					v := rng.Intn(1000)
 					c.Put(k, v)
 					m.put(k, v, int64(v%64+1))
@@ -110,6 +137,12 @@ func TestSequentialLRUOracle(t *testing.T) {
 				if c.Bytes() != m.bytes {
 					t.Fatalf("step %d: Bytes %d, oracle %d", step, c.Bytes(), m.bytes)
 				}
+				if c.Evictions() != m.evictions {
+					t.Fatalf("step %d: Evictions %d, oracle %d", step, c.Evictions(), m.evictions)
+				}
+			}
+			if st := c.Stats(); st.Hits != hits || st.Misses != misses {
+				t.Fatalf("hits/misses = %d/%d, oracle %d/%d", st.Hits, st.Misses, hits, misses)
 			}
 			// Survivor set and values must match the oracle's exactly.
 			for k, wv := range m.vals {
@@ -199,7 +232,7 @@ func TestConcurrentTorture(t *testing.T) {
 	// the tables exactly once all mutators are done.
 	var entries int64
 	for i := range c.shards {
-		entries += int64(len(*c.shards[i].snap.Load()))
+		entries += int64(len(c.shards[i].table))
 	}
 	if entries != st.Entries {
 		t.Errorf("atomic entry total %d, shard tables hold %d", st.Entries, entries)
@@ -280,7 +313,7 @@ func TestSingleFlight(t *testing.T) {
 		t.Fatalf("hits %d + flight waits %d, want %d non-leaders served",
 			st.Hits, st.FlightWaits, waiters-1)
 	}
-	// A second round is all lock-free hits.
+	// A second round is all hits.
 	for i := 0; i < 4; i++ {
 		v, hit, _, leader := c.Lookup(k)
 		if !hit || leader || v != "compiled-once" {

@@ -1,13 +1,14 @@
 // Package compilequeue is the host-side machinery behind dynopt's
 // asynchronous background compilation: a bounded worker pool that runs
-// pure compile jobs off the dispatch path, and a content-hash memo table
-// keyed by the canonical bytes of a region's guest instructions plus the
-// configuration bits that affect its compilation.
+// pure compile jobs off the dispatch path, and the content-hash Key over
+// the canonical bytes of a region's guest instructions plus the
+// configuration bits that affect its compilation. The cache those keys
+// index is package codecache.
 //
 // Determinism discipline: nothing in this package makes a *simulated*
 // decision. Workers execute pure functions whose inputs are snapshotted on
 // the simulation thread; every observable choice — what to enqueue, when a
-// result installs, memo lookups and inserts — happens on the simulation
+// result installs, cache lookups and inserts — happens on the simulation
 // thread at points fixed by the simulated clock. The worker count
 // therefore changes only host wall time, never a single simulated cycle,
 // stat, or telemetry byte.
@@ -131,120 +132,3 @@ func (k Key) Bool(b bool) Key {
 	}
 	return k.Word(0)
 }
-
-// Memo is the content-hash memoization table, bounded by a capacity with
-// LRU eviction (the same discipline as dynopt's code cache bound): under
-// hot/cold-flip workloads the key population churns forever, and an
-// unbounded map is a slow memory leak in a long-running host. It is NOT
-// concurrency-safe by design: lookups happen at enqueue and inserts at
-// install, both on the simulation thread, so the table needs no lock and
-// its hit/miss/eviction order is deterministic.
-type Memo[V any] struct {
-	m   map[Key]*memoNode[V]
-	cap int // <= 0: unbounded
-	// Intrusive doubly-linked recency list; head is most recently used,
-	// tail the eviction victim.
-	head, tail *memoNode[V]
-	hits       int64
-	misses     int64
-	evictions  int64
-}
-
-type memoNode[V any] struct {
-	key        Key
-	val        V
-	prev, next *memoNode[V]
-}
-
-// NewMemoCap returns an empty memo table holding at most capacity entries
-// (<= 0 means unbounded). Inserting past capacity evicts the least
-// recently used entry.
-func NewMemoCap[V any](capacity int) *Memo[V] {
-	return &Memo[V]{m: make(map[Key]*memoNode[V]), cap: capacity}
-}
-
-func (m *Memo[V]) unlink(n *memoNode[V]) {
-	if n.prev != nil {
-		n.prev.next = n.next
-	} else {
-		m.head = n.next
-	}
-	if n.next != nil {
-		n.next.prev = n.prev
-	} else {
-		m.tail = n.prev
-	}
-	n.prev, n.next = nil, nil
-}
-
-func (m *Memo[V]) pushFront(n *memoNode[V]) {
-	n.next = m.head
-	if m.head != nil {
-		m.head.prev = n
-	}
-	m.head = n
-	if m.tail == nil {
-		m.tail = n
-	}
-}
-
-// Get looks k up, counting a hit or a miss. A hit freshens the entry's
-// recency.
-func (m *Memo[V]) Get(k Key) (V, bool) {
-	n, ok := m.m[k]
-	if !ok {
-		m.misses++
-		var zero V
-		return zero, false
-	}
-	m.hits++
-	if m.head != n {
-		m.unlink(n)
-		m.pushFront(n)
-	}
-	return n.val, true
-}
-
-// Put records the compiled value for k, evicting the least recently used
-// entry when the table exceeds its capacity.
-func (m *Memo[V]) Put(k Key, v V) {
-	if n, ok := m.m[k]; ok {
-		n.val = v
-		if m.head != n {
-			m.unlink(n)
-			m.pushFront(n)
-		}
-		return
-	}
-	n := &memoNode[V]{key: k, val: v}
-	m.m[k] = n
-	m.pushFront(n)
-	if m.cap > 0 && len(m.m) > m.cap {
-		m.DropOldest()
-	}
-}
-
-// DropOldest evicts the least recently used entry (the memo-pressure
-// fault's hook) and reports whether anything was evicted.
-func (m *Memo[V]) DropOldest() bool {
-	victim := m.tail
-	if victim == nil {
-		return false
-	}
-	m.unlink(victim)
-	delete(m.m, victim.key)
-	m.evictions++
-	return true
-}
-
-// Hits returns the lookup hit count.
-func (m *Memo[V]) Hits() int64 { return m.hits }
-
-// Misses returns the lookup miss count.
-func (m *Memo[V]) Misses() int64 { return m.misses }
-
-// Evictions returns how many entries capacity or memo pressure evicted.
-func (m *Memo[V]) Evictions() int64 { return m.evictions }
-
-// Len returns the number of memoized entries.
-func (m *Memo[V]) Len() int { return len(m.m) }

@@ -99,7 +99,9 @@ func TestAllocationDetectionSemantics(t *testing.T) {
 				q.AMov(op.SrcOff, op.DstOff)
 			case ir.Load, ir.Store:
 				lo := addr[op.ID]
-				conflict = q.OnMem(op.ID, op.Kind == ir.Store, op.P, op.C, op.AROffset, 0, lo, lo+8)
+				if c, hit := q.OnMem(op.ID, op.Kind == ir.Store, op.P, op.C, op.AROffset, 0, lo, lo+8); hit {
+					conflict = &c
+				}
 			}
 			if conflict != nil {
 				break

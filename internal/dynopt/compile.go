@@ -91,13 +91,16 @@ const DefaultMemoCapacity = 4096
 // DefaultWatchdogFactor is the deadline multiple when WatchdogFactor is 0.
 const DefaultWatchdogFactor = 4
 
-// memoCapacity resolves the configured memo bound for
-// compilequeue.NewMemoCap, which reads a negative bound as unbounded.
-func (cc CompileConfig) memoCapacity() int {
-	if cc.MemoCapacity == 0 {
+// memoEntries resolves MemoCapacity to the private cache's entry budget,
+// where 0 means unbounded.
+func (cc CompileConfig) memoEntries() int64 {
+	switch {
+	case cc.MemoCapacity == 0:
 		return DefaultMemoCapacity
+	case cc.MemoCapacity < 0:
+		return 0
 	}
-	return cc.MemoCapacity
+	return int64(cc.MemoCapacity)
 }
 
 // watchdogFactor resolves the configured deadline multiple.
@@ -793,19 +796,19 @@ func (s *System) startCompile(entry int) error {
 // another tenant's compile of the same key already in flight.
 func (s *System) lookupCompiled(p *pendingCompile, in *compileInput) {
 	switch {
-	case s.memo != nil:
+	case s.cfg.Compile.Memoize:
 		// Injected host memory pressure evicts the LRU entry ahead of the
 		// lookup, so a previously memoized region may have to recompile.
-		if s.inj != nil && s.inj.MemoPressure() && s.memo.DropOldest() {
+		if s.inj != nil && s.inj.MemoPressure() && s.cache.EvictOldest() {
 			s.tel.chaosInjected(s.now(), p.entry, s.tierOf(p.entry), telemetry.CauseMemoPressure)
-			s.tel.memoTable(s.memo.Len(), s.memo.Evictions())
+			s.tel.memoTable(s.cache.Len(), 1)
 		}
 		p.key = s.memoKey(in)
-		p.out, p.memoHit = s.memo.Get(p.key)
-	case s.shared != nil:
+		p.out, p.memoHit = s.cache.Get(p.key)
+	case s.cache != nil:
 		p.key = s.memoKey(in)
 		var leader bool
-		p.out, p.memoHit, p.flight, leader = s.shared.cache.Lookup(p.key)
+		p.out, p.memoHit, p.flight, leader = s.cache.Lookup(p.key)
 		p.deduped = p.flight != nil && !leader
 	default:
 		return
@@ -838,7 +841,7 @@ func (s *System) runFresh(p *pendingCompile, in *compileInput) {
 			// flight here or followers would wait forever. The synthetic
 			// watchdog failure is never inserted (insert=false): the next
 			// lookup elects a fresh leader.
-			s.shared.cache.Complete(p.key, p.flight, &compileOutput{
+			s.cache.Complete(p.key, p.flight, &compileOutput{
 				err: fmt.Errorf("%w for B%d", errWatchdogTimeout, p.entry),
 			}, false)
 			p.flight = nil
@@ -846,20 +849,20 @@ func (s *System) runFresh(p *pendingCompile, in *compileInput) {
 	case bg == nil:
 		p.out = runCompileJob(in, panicInject, poison)
 		if p.flight != nil {
-			s.shared.cache.Complete(p.key, p.flight, p.out, screenOutput(p.entry, p.out, s.cfg.queueRegs()) == nil)
+			s.cache.Complete(p.key, p.flight, p.out, screenOutput(p.entry, p.out, s.cfg.queueRegs()) == nil)
 		}
 	default:
 		if bg.pool == nil {
 			bg.pool = compilequeue.NewPool(s.cfg.Compile.Workers)
 		}
-		job, flight, key, shared, queueRegs := p, p.flight, p.key, s.shared, s.cfg.queueRegs()
+		job, flight, key, cache, queueRegs := p, p.flight, p.key, s.cache, s.cfg.queueRegs()
 		if flight == nil {
 			p.done = make(chan struct{})
 		}
 		bg.pool.Submit(func() {
 			out := runCompileJob(in, panicInject, poison)
 			if flight != nil {
-				shared.cache.Complete(key, flight, out, screenOutput(in.entry, out, queueRegs) == nil)
+				cache.Complete(key, flight, out, screenOutput(in.entry, out, queueRegs) == nil)
 				return
 			}
 			job.out = out
@@ -963,9 +966,10 @@ func (s *System) installPending(p *pendingCompile) {
 		s.compileFailed(p.entry, p.recompile, err)
 		return
 	}
-	if s.memo != nil && !p.memoHit {
-		s.memo.Put(p.key, p.out)
-		s.tel.memoTable(s.memo.Len(), s.memo.Evictions())
+	if s.cfg.Compile.Memoize && !p.memoHit {
+		evicted := s.cache.Evictions()
+		s.cache.Put(p.key, p.out)
+		s.tel.memoTable(s.cache.Len(), s.cache.Evictions()-evicted)
 	}
 	s.installOutput(p.entry, p.out, latency)
 	if bg != nil {

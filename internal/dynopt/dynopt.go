@@ -20,7 +20,7 @@ import (
 
 	"smarq/internal/alias"
 	"smarq/internal/aliashw"
-	"smarq/internal/compilequeue"
+	"smarq/internal/codecache"
 	"smarq/internal/core"
 	"smarq/internal/faultinject"
 	"smarq/internal/guest"
@@ -351,13 +351,12 @@ type System struct {
 	exceptions map[int]int
 	// entrySeq numbers region dispatches — the eviction clock source.
 	entrySeq int64
-	// bg is the background-compilation state (nil in synchronous mode)
-	// and memo the content-hash memo table (nil unless Compile.Memoize);
-	// see compile.go. shared is the fleet-wide compile cache (nil unless
-	// Compile.SharedCache); see sharedcache.go.
-	bg     *bgCompile
-	memo   *compilequeue.Memo[*compileOutput]
-	shared *CodeCache
+	// bg is the background-compilation state (nil in synchronous mode);
+	// see compile.go. cache is the content-hash compile cache: a private
+	// one-shard memo under Compile.Memoize, the fleet-wide cache under
+	// Compile.SharedCache (see sharedcache.go), else nil.
+	bg    *bgCompile
+	cache *codecache.Cache[*compileOutput]
 	// inline is the synchronous path's job slot: an inline compile
 	// installs before the next one starts, so one slot is enough.
 	inline pendingCompile
@@ -432,10 +431,14 @@ func New(prog *guest.Program, st *guest.State, mem *guest.Memory, cfg Config) *S
 			pool:    cfg.Compile.SharedPool,
 		}
 	}
-	if cfg.Compile.Memoize {
-		s.memo = compilequeue.NewMemoCap[*compileOutput](cfg.Compile.memoCapacity())
+	switch {
+	case cfg.Compile.Memoize:
+		s.cache = codecache.New[*compileOutput](codecache.Options{
+			Shards: 1, MaxEntries: cfg.Compile.memoEntries(),
+		}, nil)
+	case cfg.Compile.SharedCache != nil:
+		s.cache = cfg.Compile.SharedCache.cache
 	}
-	s.shared = cfg.Compile.SharedCache
 	if cfg.Health.Enabled() {
 		s.hc = health.New(cfg.Health)
 	}
@@ -871,8 +874,8 @@ func (s *System) finalize() {
 		s.Stats.Health = s.hc.Stats()
 		s.Stats.Health.QuarantinedRegions = int64(len(s.quarantined))
 	}
-	if s.memo != nil {
-		s.Stats.Compile.MemoEvictions = s.memo.Evictions()
+	if s.cfg.Compile.Memoize {
+		s.Stats.Compile.MemoEvictions = s.cache.Evictions()
 	}
 	// End-of-run ladder residency, and per-region recovery history.
 	rec := &s.Stats.Recovery

@@ -340,7 +340,7 @@ func TestMemoCapacityBoundsAndEvicts(t *testing.T) {
 	if sys.Stats.Compile.MemoEvictions == 0 {
 		t.Errorf("capacity-1 memo never evicted across %d misses", sys.Stats.Compile.MemoMisses)
 	}
-	if got := sys.memo.Len(); got > 1 {
+	if got := sys.cache.Len(); got > 1 {
 		t.Errorf("memo length %d exceeds capacity 1", got)
 	}
 }

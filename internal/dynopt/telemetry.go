@@ -130,11 +130,6 @@ type systemTelemetry struct {
 	healthDemotions  *telemetry.Counter
 	healthPromotions *telemetry.Counter
 	healthLevel      *telemetry.Gauge
-
-	// lastMemoEvictions is the memo's eviction count at the last memoTable
-	// call: capacity evictions happen inside Memo.Put, which has no
-	// telemetry access, so the counter is synced by diffing.
-	lastMemoEvictions int64
 }
 
 // newSystemTelemetry resolves instruments against the bundle. Returns nil
@@ -483,15 +478,12 @@ func (st *systemTelemetry) healthMove(cycle int64, mv health.Move, cause telemet
 	})
 }
 
-// memoTable refreshes the memo-size gauge and eviction counter after a
+// memoTable refreshes the memo-size gauge and counts the evictions of a
 // memo mutation (an insert past capacity, or injected memo pressure).
-func (st *systemTelemetry) memoTable(size int, evictions int64) {
+func (st *systemTelemetry) memoTable(size int, evicted int64) {
 	if st == nil {
 		return
 	}
 	st.memoSize.Set(int64(size))
-	if d := evictions - st.lastMemoEvictions; d > 0 {
-		st.memoEvictions.Add(d)
-		st.lastMemoEvictions = evictions
-	}
+	st.memoEvictions.Add(evicted)
 }

@@ -33,10 +33,13 @@ type Runner struct {
 	// only this progress stream reorders).
 	Verbose *telemetry.LineSink
 	// Telemetry, when set, builds the telemetry bundle for each cell
-	// before it runs (return nil to leave a cell untraced). The runner
-	// flushes the cell's tracer when the run completes; closing sinks is
-	// the caller's job.
-	Telemetry func(bench, config string) *telemetry.Telemetry
+	// before it runs (return nil to leave a cell untraced). index numbers
+	// the cell from 0 in the order the figures first request it — Warm
+	// registers its whole cell list in order before running any — so a
+	// cell's index is the same at every Parallelism. The runner flushes
+	// the cell's tracer when the run completes; closing sinks is the
+	// caller's job.
+	Telemetry func(bench, config string, index int) *telemetry.Telemetry
 	// ConfigHook, when set, rewrites each cell's configuration just
 	// before the run (smarq-bench uses it to apply the background
 	// compilation flags across every named configuration). It must be a
@@ -61,6 +64,7 @@ type Cell struct {
 // once.Do and shares the outcome (including errors).
 type cellResult struct {
 	once  sync.Once
+	index int // creation order; see Runner.Telemetry
 	stats *dynopt.Stats
 	err   error
 }
@@ -122,7 +126,7 @@ func (r *Runner) cell(bench, config string) *cellResult {
 	key := Cell{bench, config}
 	c, ok := r.cache[key]
 	if !ok {
-		c = &cellResult{}
+		c = &cellResult{index: len(r.cache)}
 		r.cache[key] = c
 	}
 	return c
@@ -134,13 +138,13 @@ func (r *Runner) cell(bench, config string) *cellResult {
 // observes the same outcome.
 func (r *Runner) Run(bench, config string) (*dynopt.Stats, error) {
 	c := r.cell(bench, config)
-	c.once.Do(func() { c.stats, c.err = r.execute(bench, config) })
+	c.once.Do(func() { c.stats, c.err = r.execute(bench, config, c.index) })
 	return c.stats, c.err
 }
 
 // execute performs one benchmark×configuration run. Each run owns a
 // fresh Program, State and Memory, so runs never share mutable state.
-func (r *Runner) execute(bench, config string) (*dynopt.Stats, error) {
+func (r *Runner) execute(bench, config string, index int) (*dynopt.Stats, error) {
 	bm, ok := r.byName[bench]
 	if !ok {
 		return nil, fmt.Errorf("harness: no benchmark %q in this runner's suite", bench)
@@ -155,7 +159,7 @@ func (r *Runner) execute(bench, config string) (*dynopt.Stats, error) {
 		cfg = r.ConfigHook(cfg)
 	}
 	if r.Telemetry != nil {
-		cfg.Telemetry = r.Telemetry(bench, config)
+		cfg.Telemetry = r.Telemetry(bench, config, index)
 	}
 	sys := dynopt.New(bm.Build(), &guest.State{}, guest.NewMemory(bm.MemSize), cfg)
 	halted, err := sys.Run(bm.MaxInsts)
@@ -182,6 +186,9 @@ func (r *Runner) execute(bench, config string) (*dynopt.Stats, error) {
 // returned here: the aggregation loop re-surfaces the cached error of
 // the first failing cell in its own deterministic order.
 func (r *Runner) Warm(cells []Cell) {
+	for _, c := range cells {
+		r.cell(c.Bench, c.Config)
+	}
 	n := r.parallelism()
 	if n > len(cells) {
 		n = len(cells)

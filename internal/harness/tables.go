@@ -50,36 +50,36 @@ func probeModels() error {
 	//   Bitmask: mask excludes the register -> silent.
 	bm := aliashw.NewBitmask(8)
 	bm.Set(1, false, 0, 100, 108)
-	if c := bm.Check(2, 0 /* empty mask */, 100, 108); c != nil {
+	if _, hit := bm.OnMem(2, false, false, true, 0, 0 /* empty mask */, 100, 108); hit {
 		return fmt.Errorf("harness: bitmask produced a false positive")
 	}
 	//   Ordered queue: the checker's offset excludes earlier registers.
 	q := aliashw.NewOrderedQueue(8)
 	q.OnMem(1, false, true, false, 0, 0, 100, 108)
-	if c := q.OnMem(2, true, false, true, 1, 0, 100, 108); c != nil {
+	if _, hit := q.OnMem(2, true, false, true, 1, 0, 100, 108); hit {
 		return fmt.Errorf("harness: ordered queue produced a false positive")
 	}
 	//   ALAT: the store checks everything -> false positive.
 	al := aliashw.NewALAT()
 	al.OnMem(1, false, true, false, 0, 0, 100, 108)
-	if c := al.OnMem(2, true, false, false, -1, 0, 100, 108); c == nil {
+	if _, hit := al.OnMem(2, true, false, false, -1, 0, 100, 108); !hit {
 		return fmt.Errorf("harness: ALAT failed to produce its false positive")
 	}
 
 	// Store-store detection.
 	q.Reset()
 	q.OnMem(1, true, true, false, 0, 0, 100, 108)
-	if c := q.OnMem(2, true, false, true, 0, 0, 100, 108); c == nil {
+	if _, hit := q.OnMem(2, true, false, true, 0, 0, 100, 108); !hit {
 		return fmt.Errorf("harness: ordered queue missed a store-store alias")
 	}
 	bm.Reset()
 	bm.Set(1, true, 0, 100, 108)
-	if c := bm.Check(2, 1, 100, 108); c == nil {
+	if _, hit := bm.OnMem(2, false, false, true, 0, 1, 100, 108); !hit {
 		return fmt.Errorf("harness: bitmask missed a store-store alias")
 	}
 	al.Reset()
 	al.OnMem(1, true, true, true, 0, 0, 100, 108)
-	if c := al.OnMem(2, true, true, true, 0, 0, 100, 108); c != nil {
+	if _, hit := al.OnMem(2, true, true, true, 0, 0, 100, 108); hit {
 		return fmt.Errorf("harness: ALAT detected a store-store alias (it cannot)")
 	}
 	return nil

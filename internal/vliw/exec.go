@@ -256,8 +256,9 @@ func (ctx *ExecContext) memGeneric(op *decOp, det aliashw.Detector, vri []int64,
 	isStore := op.code >= xSt1A
 	addr := uint64(vri[op.base] + op.imm)
 	size := int(op.size)
-	if conf := det.OnMem(int(op.id), isStore, op.p, op.c, int(op.arOffset), op.arMask, addr, addr+uint64(size)); conf != nil {
-		return AliasException, conf
+	if conf, hit := det.OnMem(int(op.id), isStore, op.p, op.c, int(op.arOffset), op.arMask, addr, addr+uint64(size)); hit {
+		c := conf
+		return AliasException, &c
 	}
 	if isStore {
 		bits := uint64(vri[op.src0])
@@ -429,7 +430,7 @@ func (ctx *ExecContext) Execute(cr *CompiledRegion, st *guest.State, mem *guest.
 		case xLd1A, xLd2A, xLd4A, xLd8A, xLdF8A, xSt1A, xSt2A, xSt4A, xSt8A, xStF8A:
 			if oq != nil {
 				addr := uint64(vri[op.base] + op.imm)
-				if conf, hit := oq.OnMemV(int(op.id), code >= xSt1A, op.p, op.c, int(op.arOffset), addr, addr+uint64(op.size)); hit {
+				if conf, hit := oq.OnMem(int(op.id), code >= xSt1A, op.p, op.c, int(op.arOffset), 0, addr, addr+uint64(op.size)); hit {
 					c := conf
 					return abort(AliasException, &c, n)
 				}

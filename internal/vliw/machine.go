@@ -174,8 +174,9 @@ func executeRef(cr *CompiledRegion, st *guest.State, mem *guest.Memory, det alia
 		case ir.Load:
 			addr := uint64(vr.i[op.Mem.Base] + op.Mem.Off)
 			size := op.Mem.Size
-			if conf := det.OnMem(op.ID, false, op.P, op.C, op.AROffset, op.ARMask, addr, addr+uint64(size)); conf != nil {
-				return abort(AliasException, conf, n)
+			if conf, hit := det.OnMem(op.ID, false, op.P, op.C, op.AROffset, op.ARMask, addr, addr+uint64(size)); hit {
+				c := conf
+				return abort(AliasException, &c, n)
 			}
 			bits, err := mem.Load(addr, size)
 			if err != nil {
@@ -190,8 +191,9 @@ func executeRef(cr *CompiledRegion, st *guest.State, mem *guest.Memory, det alia
 		case ir.Store:
 			addr := uint64(vr.i[op.Mem.Base] + op.Mem.Off)
 			size := op.Mem.Size
-			if conf := det.OnMem(op.ID, true, op.P, op.C, op.AROffset, op.ARMask, addr, addr+uint64(size)); conf != nil {
-				return abort(AliasException, conf, n)
+			if conf, hit := det.OnMem(op.ID, true, op.P, op.C, op.AROffset, op.ARMask, addr, addr+uint64(size)); hit {
+				c := conf
+				return abort(AliasException, &c, n)
 			}
 			var bits uint64
 			if op.SrcFloat[0] {
